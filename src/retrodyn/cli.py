@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .equilibria import all_equilibria, inner_equilibrium
-from .errors import DomainError, IntegrationError, ParameterError
+from .errors import DomainError, IntegrationError, ParameterError, _checked_float
 from .integrator import IntegrationMode, IntegrationOptions, integrate, lyapunov_trace
 from .lyapunov import Condition4Variant, LyapunovCoeffs, condition4, search_coeffs
 from .model import PARAM_NAMES, ModelParams, State
@@ -57,13 +57,10 @@ def _reject_unknown(obj: dict, allowed, where: str):
         raise ParameterError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
 
 
-def _number(obj: dict, key: str, where: str) -> float:
+def _number(obj: dict, key: str, where: str, bound: Optional[str] = None) -> float:
     if key not in obj:
         raise ParameterError(f"missing key {key!r} in {where}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParameterError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    return _checked_float(f"{where}.{key}", obj[key], bound)
 
 
 def _parse_params(section) -> ModelParams:
@@ -75,7 +72,7 @@ def _parse_params(section) -> ModelParams:
 def _parse_initial_state(section) -> State:
     obj = _require_mapping(section, "initial_state")
     _reject_unknown(obj, ("C", "I", "V"), "initial_state")
-    return State(*(_number(obj, key, "initial_state") for key in ("C", "I", "V")))
+    return State(*(_number(obj, key, "initial_state", ">=") for key in ("C", "I", "V")))
 
 
 def _parse_integration(section) -> IntegrationOptions:
@@ -83,9 +80,7 @@ def _parse_integration(section) -> IntegrationOptions:
     allowed = ("t_end", "dt", "rel_tol", "abs_tol", "mode", "max_steps")
     _reject_unknown(obj, allowed, "integration")
     kwargs = {"t_end": _number(obj, "t_end", "integration")}
-    if "dt" in obj:
-        kwargs["dt"] = _number(obj, "dt", "integration")
-    for key in ("rel_tol", "abs_tol"):
+    for key in ("dt", "rel_tol", "abs_tol"):
         if key in obj:
             kwargs[key] = _number(obj, key, "integration")
     if "mode" in obj:
@@ -95,10 +90,7 @@ def _parse_integration(section) -> IntegrationOptions:
             raise ParameterError(f"integration.mode must be one of {sorted(values)}, got {mode!r}")
         kwargs["mode"] = values[mode]
     if "max_steps" in obj:
-        value = obj["max_steps"]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParameterError(f"integration.max_steps must be an integer, got {value!r}")
-        kwargs["max_steps"] = value
+        kwargs["max_steps"] = obj["max_steps"]
     return IntegrationOptions(**kwargs)
 
 

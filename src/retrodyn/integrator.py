@@ -36,7 +36,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .equilibria import Equilibrium
-from .errors import DomainError, IntegrationError, ParameterError
+from .errors import DomainError, IntegrationError, ParameterError, _checked_float
 from .lyapunov import LyapunovCoeffs, w_dot, w_value
 from .model import ModelParams, State, _rhs
 
@@ -67,22 +67,21 @@ class IntegrationOptions:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if not (isinstance(self.t_end, (int, float)) and math.isfinite(self.t_end) and self.t_end > 0):
-            raise ParameterError(f"t_end must be finite and > 0, got {self.t_end!r}")
+        object.__setattr__(self, "t_end", _checked_float("t_end", self.t_end, ">"))
         if not isinstance(self.mode, IntegrationMode):
             raise ParameterError(f"mode must be an IntegrationMode, got {self.mode!r}")
         if self.dt is None:
             if self.mode is IntegrationMode.FIXED_RK4:
                 raise ParameterError("fixed mode requires an explicit dt")
         else:
-            if not (isinstance(self.dt, (int, float)) and math.isfinite(self.dt) and self.dt > 0):
-                raise ParameterError(f"dt must be finite and > 0, got {self.dt!r}")
+            object.__setattr__(self, "dt", _checked_float("dt", self.dt, ">"))
             if self.dt > self.t_end:
                 raise ParameterError(f"dt={self.dt!r} exceeds t_end={self.t_end!r}")
         for name in ("rel_tol", "abs_tol"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
+            value = _checked_float(name, getattr(self, name), ">")
+            if not value < 1.0:
                 raise ParameterError(f"{name} must lie in (0, 1), got {value!r}")
+            object.__setattr__(self, name, value)
         if not (isinstance(self.max_steps, int) and not isinstance(self.max_steps, bool) and self.max_steps > 0):
             raise ParameterError(f"max_steps must be a positive integer, got {self.max_steps!r}")
 
@@ -130,20 +129,15 @@ def _rk4(p: ModelParams, C: float, I: float, V: float, dt: float) -> tuple:
 
 def step_rk4(params: ModelParams, s: State, dt: float) -> State:
     """Single classical RK4 step of size ``dt`` (may be negative)."""
-    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt != 0.0):
-        raise ParameterError(f"dt must be finite and nonzero, got {dt!r}")
-    C, I, V = _rk4(params, s.C, s.I, s.V, float(dt))
+    C, I, V = _rk4(params, s.C, s.I, s.V, _checked_float("dt", dt, "!="))
     if not (math.isfinite(C) and math.isfinite(I) and math.isfinite(V)):
         raise IntegrationError(f"non-finite state after a step of {dt!r} from {s!r}")
     return State(C, I, V)
 
 
 def _check_initial(s0: State):
-    for name, value in (("C", s0.C), ("I", s0.I), ("V", s0.V)):
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
-            raise ParameterError(f"initial {name} must be finite, got {value!r}")
-        if value < 0.0:
-            raise ParameterError(f"initial {name} must be >= 0, got {value!r}")
+    for name, value in (("initial C", s0.C), ("initial I", s0.I), ("initial V", s0.V)):
+        _checked_float(name, value, ">=")
 
 
 def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Trajectory:

@@ -37,7 +37,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .equilibria import Equilibrium, EquilibriumKind
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _checked_float
 from .model import ModelParams, State, _rhs
 
 DEFAULT_GRID_POINTS = 41
@@ -54,12 +54,7 @@ class LyapunovCoeffs:
 
     def __post_init__(self):
         for name in ("A", "B", "D"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
-                raise ParameterError(f"coefficient {name!r} must be a real number, got {value!r}")
-            if not (math.isfinite(value) and value > 0.0):
-                raise ParameterError(f"coefficient {name!r} must be finite and > 0, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _checked_float(name, getattr(self, name), ">"))
 
 
 @dataclass(frozen=True)
@@ -260,11 +255,12 @@ def search_coeffs(
     the best pair leaves min(delta1..3) <= 0.
     """
     _require_inner(eq)
-    if grid_points < 2:
-        raise ParameterError(f"grid_points must be >= 2, got {grid_points}")
+    _checked_float("grid_points", grid_points, ">=", 2)
+    if not isinstance(grid_points, int):
+        raise ParameterError(f"'grid_points' must be an integer, got {grid_points!r}")
     lo, hi = coeff_range
-    if not (0.0 < lo < hi):
-        raise ParameterError(f"coeff_range must satisfy 0 < lo < hi, got {coeff_range!r}")
+    lo = _checked_float("coeff_range", lo, ">")
+    hi = _checked_float("coeff_range", hi, ">", lo)
 
     values = np.logspace(math.log10(lo), math.log10(hi), grid_points)
     A = values[:, None]

@@ -25,18 +25,17 @@ characteristic cubic of a 3x3 matrix.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _checked_float
 
 PARAM_NAMES = ("a", "a_I", "b11", "b12", "b21", "b22", "alpha", "m", "k", "sigma")
 
-# Parameters that must be strictly positive; the remaining ones
-# (b12, b21, alpha) may be zero, which decouples the corresponding term.
-_POSITIVE = ("a", "a_I", "b11", "b22", "m", "k", "sigma")
+# b12, b21 and alpha may be zero, which decouples the corresponding
+# term; every other parameter must be strictly positive.
+_BOUND = {name: ">=" if name in ("b12", "b21", "alpha") else ">" for name in PARAM_NAMES}
 
 
 @dataclass(frozen=True)
@@ -64,19 +63,8 @@ class ModelParams:
     sigma: float
 
     def __post_init__(self):
-        for name in PARAM_NAMES:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ParameterError(f"parameter {name!r} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ParameterError(f"parameter {name!r} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        for name in _POSITIVE:
-            if getattr(self, name) <= 0.0:
-                raise ParameterError(f"parameter {name!r} must be > 0, got {getattr(self, name)!r}")
-        for name in ("b12", "b21", "alpha"):
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"parameter {name!r} must be >= 0, got {getattr(self, name)!r}")
+        for name, bound in _BOUND.items():
+            object.__setattr__(self, name, _checked_float(name, getattr(self, name), bound))
 
     def replace(self, **changes) -> "ModelParams":
         """Return a copy with the given fields replaced (re-validated)."""

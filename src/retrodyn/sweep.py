@@ -9,7 +9,6 @@ pool and reassembled by index.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence, Tuple
@@ -17,7 +16,7 @@ from typing import IO, Optional, Sequence, Tuple
 import numpy as np
 
 from .equilibria import inner_equilibrium
-from .errors import ParameterError
+from .errors import ParameterError, _checked_float
 from .lyapunov import Condition4Variant, condition4, search_coeffs
 from .model import ModelParams
 from .stability import Verdict, classify_equilibrium
@@ -28,17 +27,11 @@ ALPHA_BISECT_LO = 1e-6
 def _check_axis(name: str, values: Sequence[float]) -> tuple:
     if len(values) == 0:
         raise ParameterError(f"{name} must be nonempty")
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ParameterError(f"{name} entries must be finite numbers, got {v!r}")
-        if v <= 0.0:
-            raise ParameterError(f"{name} entries must be > 0, got {v!r}")
-        out.append(float(v))
+    out = tuple(_checked_float(name, v, ">") for v in values)
     for prev, nxt in zip(out, out[1:]):
         if not nxt > prev:
             raise ParameterError(f"{name} must be strictly increasing")
-    return tuple(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -176,10 +169,8 @@ def find_alpha_margin(base: ModelParams, k_fixed: float, alpha_hi: float) -> Opt
     monotonically; returns alpha_hi itself when the whole range is
     stable and None when even alpha = 1e-6 is not.
     """
-    if not (isinstance(k_fixed, (int, float)) and math.isfinite(k_fixed) and k_fixed > 0):
-        raise ParameterError(f"k_fixed must be finite and > 0, got {k_fixed!r}")
-    if not (isinstance(alpha_hi, (int, float)) and math.isfinite(alpha_hi) and alpha_hi > ALPHA_BISECT_LO):
-        raise ParameterError(f"alpha_hi must be finite and > {ALPHA_BISECT_LO}, got {alpha_hi!r}")
+    k_fixed = _checked_float("k_fixed", k_fixed, ">")
+    alpha_hi = _checked_float("alpha_hi", alpha_hi, ">", ALPHA_BISECT_LO)
 
     def stable_at(alpha: float) -> bool:
         p = base.replace(alpha=alpha, k=k_fixed)

@@ -1,8 +1,11 @@
 import io
 import json
 import math
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +80,10 @@ def test_equilibria_no_inner(tmp_path, capsys):
         {"params": dict(P1, a=True)},
         {"params": dict(P1, m="fast")},
         {},
+        {"params": P1, "integration": {"t_end": 1.0, "dt": 0.1, "max_steps": 1.5}},
+        {"params": P1, "initial_state": {"C": "1", "I": 0.1, "V": 0.1}},
+        {"params": dict(P1, a=10**400)},
+        {"params": P1, "initial_state": {"C": -1.0, "I": 0.1, "V": 0.1}},
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, payload):
@@ -304,5 +311,20 @@ def test_installed_entry_point(tmp_path):
     cfg = write_config(tmp_path, {"params": P1})
     proc = subprocess.run([exe, "--config", cfg, "equilibria"],
                           capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout.strip().split("\n")[0])["kind"] == "inner"
+
+
+def test_entry_point_wiring(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["retrodyn"] == "retrodyn.cli:main"
+    cfg = write_config(tmp_path, {"params": P1})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "retrodyn.cli", "--config", cfg, "equilibria"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout.strip().split("\n")[0])["kind"] == "inner"

@@ -66,9 +66,14 @@ def test_options_validation():
         IntegrationOptions(t_end=1.0, dt=0.1, max_steps=True)
     with pytest.raises(ParameterError):
         IntegrationOptions(t_end=1.0, dt=0.1, mode="fixed")
+    with pytest.raises(ParameterError, match="t_end"):
+        IntegrationOptions(t_end=True, dt=True)
     # adaptive mode may omit dt
     opts = adaptive(10.0)
     assert opts.dt is None
+    # numeric fields are stored as floats
+    opts = IntegrationOptions(t_end=2, dt=1, rel_tol=np.float64(1e-6))
+    assert [type(v) for v in (opts.t_end, opts.dt, opts.rel_tol, opts.abs_tol)] == [float] * 4
 
 
 def test_initial_state_validation(p2):
@@ -76,6 +81,8 @@ def test_initial_state_validation(p2):
         integrate(p2, State(-0.1, 0.0, 0.0), fixed(0.1, 1.0))
     with pytest.raises(ParameterError):
         integrate(p2, State(0.0, float("nan"), 0.0), fixed(0.1, 1.0))
+    with pytest.raises(ParameterError):
+        integrate(p2, State(True, 0.1, 0.1), fixed(0.1, 1.0))
 
 
 def test_step_single_accuracy():
@@ -104,6 +111,8 @@ def test_step_rejects_bad_dt(p2):
         step_rk4(p2, State(1.0, 1.0, 1.0), 0.0)
     with pytest.raises(ParameterError):
         step_rk4(p2, State(1.0, 1.0, 1.0), float("inf"))
+    with pytest.raises(ParameterError):
+        step_rk4(p2, State(1.0, 1.0, 1.0), True)
 
 
 def test_step_nonfinite_state_raises(p2):

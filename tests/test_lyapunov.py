@@ -263,12 +263,17 @@ def test_search_unstable_exemplar_absent(p_unstable):
     assert search_coeffs(p_unstable, eq) is None
 
 
+@pytest.mark.filterwarnings("error")
 def test_search_validation(p2):
     eq = inner_equilibrium(p2)
     with pytest.raises(ParameterError):
         search_coeffs(p2, eq, grid_points=1)
     with pytest.raises(ParameterError):
         search_coeffs(p2, eq, coeff_range=(1.0, 0.5))
+    with pytest.raises(ParameterError, match="grid_points"):
+        search_coeffs(p2, eq, grid_points=2.5)
+    with pytest.raises(ParameterError, match="coeff_range"):
+        search_coeffs(p2, eq, coeff_range=(1e-3, math.inf))
 
 
 def test_minor_scaling(p2):

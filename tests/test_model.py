@@ -46,6 +46,8 @@ def test_params_reject_negative_or_nonfinite():
         ModelParams(**{**good, "m": True})
     with pytest.raises(ParameterError):
         ModelParams(**{**good, "sigma": "2"})
+    with pytest.raises(ParameterError, match="'a'"):
+        ModelParams(**{**good, "a": 10**400})  # too large for a float
 
 
 def test_params_replace_revalidates(p1):

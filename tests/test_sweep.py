@@ -199,3 +199,7 @@ def test_alpha_margin_validation(p2):
         find_alpha_margin(p2, 0.0, 1.0)
     with pytest.raises(ParameterError):
         find_alpha_margin(p2, 1.0, 1e-7)
+    with pytest.raises(ParameterError, match="alpha_hi"):
+        find_alpha_margin(p2, 1.0, True)
+    with pytest.raises(ParameterError, match="k_fixed"):
+        find_alpha_margin(p2, True, 1.0)
