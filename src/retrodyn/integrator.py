@@ -37,7 +37,7 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .errors import DomainError, IntegrationError, ParameterError, _checked_float
-from .lyapunov import LyapunovCoeffs, w_dot, w_value
+from .lyapunov import LyapunovCoeffs, _require_inner, _w, _w_dot
 from .model import ModelParams, State, _rhs
 
 # Growth/shrink clamps for the adaptive step controller.
@@ -105,12 +105,13 @@ class Trajectory:
     def write_csv(self, stream: IO[str]):
         """Write samples as CSV with full float precision (%.17g)."""
         traced = self.lyapunov_samples is not None
+        columns = [self.times, self.states]
+        if traced:
+            columns.append(self.lyapunov_samples)
+        table = np.column_stack(columns)
+        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
         stream.write("t,C,I,V,W,Wdot\n" if traced else "t,C,I,V\n")
-        for idx in range(len(self.times)):
-            row = [self.times[idx], *self.states[idx]]
-            if traced:
-                row += [self.lyapunov_samples[idx, 0], self.lyapunov_samples[idx, 1]]
-            stream.write(",".join("%.17g" % v for v in row) + "\n")
+        stream.writelines(row % tuple(values) for values in table.tolist())
 
 
 def _rk4(p: ModelParams, C: float, I: float, V: float, dt: float) -> tuple:
@@ -229,20 +230,18 @@ def _attach_lyapunov(
     eq: Equilibrium,
     traj: Trajectory,
 ) -> Trajectory:
-    # Sampling W requires strictly positive populations at every record.
-    n = len(traj.times)
-    samples = np.empty((n, 2))
-    for idx in range(n):
-        C, I, V = traj.states[idx]
+    # Sampling W requires the inner equilibrium and strictly positive
+    # populations at every record; both are checked here once.
+    _require_inner(eq)
+    pt = eq.point
+    samples = []
+    for t, (C, I, V) in zip(traj.times.tolist(), traj.states.tolist()):
         if not (C > 0.0 and I > 0.0 and V > 0.0):
             raise DomainError(
-                f"trajectory left the open positive octant at t={traj.times[idx]!r}: "
-                f"({C!r}, {I!r}, {V!r})"
+                f"trajectory left the open positive octant at t={t!r}: ({C!r}, {I!r}, {V!r})"
             )
-        s = State(float(C), float(I), float(V))
-        samples[idx, 0] = w_value(coeffs, eq, s)
-        samples[idx, 1] = w_dot(params, coeffs, eq, s)
-    return Trajectory(times=traj.times, states=traj.states, lyapunov_samples=samples)
+        samples.append((_w(coeffs, pt, C, I, V), _w_dot(params, coeffs, pt, C, I, V)))
+    return Trajectory(times=traj.times, states=traj.states, lyapunov_samples=np.array(samples))
 
 
 def lyapunov_trace(

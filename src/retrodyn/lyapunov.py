@@ -40,8 +40,8 @@ from .equilibria import Equilibrium, EquilibriumKind
 from .errors import DomainError, ParameterError, _checked_float
 from .model import ModelParams, State, _rhs
 
-DEFAULT_GRID_POINTS = 41
-DEFAULT_COEFF_RANGE = (1e-3, 1e3)
+# The weights A and B that search_coeffs tries: 41 log-spaced values in [1e-3, 1e3].
+_WEIGHTS = np.logspace(-3.0, 3.0, 41)
 
 
 @dataclass(frozen=True)
@@ -140,29 +140,37 @@ def _require_positive(s: State):
         raise DomainError(f"state must lie in the open positive octant, got {s!r}")
 
 
+# Unchecked kernels on plain floats, shared by w_value/w_dot and the
+# integrator's trace; pt is the inner equilibrium's point.
+def _w(coeffs, pt, C, I, V):
+    return (
+        coeffs.A * volterra(C / pt.C)
+        + coeffs.B * volterra(I / pt.I)
+        + coeffs.D * volterra(V / pt.V)
+    )
+
+
+def _w_dot(params, coeffs, pt, C, I, V):
+    dC, dI, dV = _rhs(params, C, I, V)
+    return (
+        coeffs.A * (1.0 - pt.C / C) * dC / pt.C
+        + coeffs.B * (1.0 - pt.I / I) * dI / pt.I
+        + coeffs.D * (1.0 - pt.V / V) * dV / pt.V
+    )
+
+
 def w_value(coeffs: LyapunovCoeffs, eq: Equilibrium, s: State) -> float:
     """W(s) relative to the inner equilibrium."""
     _require_inner(eq)
     _require_positive(s)
-    pt = eq.point
-    return (
-        coeffs.A * volterra(s.C / pt.C)
-        + coeffs.B * volterra(s.I / pt.I)
-        + coeffs.D * volterra(s.V / pt.V)
-    )
+    return _w(coeffs, eq.point, s.C, s.I, s.V)
 
 
 def w_dot(params: ModelParams, coeffs: LyapunovCoeffs, eq: Equilibrium, s: State) -> float:
     """Derivative of W along the flow, evaluated directly at state ``s``."""
     _require_inner(eq)
     _require_positive(s)
-    pt = eq.point
-    dC, dI, dV = _rhs(params, s.C, s.I, s.V)
-    return (
-        coeffs.A * (1.0 - pt.C / s.C) * dC / pt.C
-        + coeffs.B * (1.0 - pt.I / s.I) * dI / pt.I
-        + coeffs.D * (1.0 - pt.V / s.V) * dV / pt.V
-    )
+    return _w_dot(params, coeffs, eq.point, s.C, s.I, s.V)
 
 
 def _omega_entries(params, A, B, D, eq_point, at_point):
@@ -240,39 +248,23 @@ def condition4(
     return Condition4Report(lhs=float(lhs), rhs=float(rhs), holds=bool(lhs > rhs), variant=variant)
 
 
-def search_coeffs(
-    params: ModelParams,
-    eq: Equilibrium,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    coeff_range: Tuple[float, float] = DEFAULT_COEFF_RANGE,
-) -> Optional[Tuple[LyapunovCoeffs, OmegaForm]]:
+def search_coeffs(params: ModelParams, eq: Equilibrium) -> Optional[Tuple[LyapunovCoeffs, OmegaForm]]:
     """Search a log grid of weights for a definite Omega at the equilibrium.
 
     D is pinned to 1 (scaling all three weights only rescales the
-    minors, so nothing is lost), while A and B range over
-    ``grid_points`` log-spaced values in ``coeff_range``.  The weight
-    pair maximizing the smallest minor wins; None is returned when even
-    the best pair leaves min(delta1..3) <= 0.
+    minors, so nothing is lost), while A and B range over 41
+    log-spaced values in [1e-3, 1e3].  The weight pair maximizing the
+    smallest minor wins; None is returned when even the best pair
+    leaves min(delta1..3) <= 0.
     """
     _require_inner(eq)
-    _checked_float("grid_points", grid_points, ">=", 2)
-    if not isinstance(grid_points, int):
-        raise ParameterError(f"'grid_points' must be an integer, got {grid_points!r}")
-    lo, hi = coeff_range
-    lo = _checked_float("coeff_range", lo, ">")
-    hi = _checked_float("coeff_range", hi, ">", lo)
-
-    values = np.logspace(math.log10(lo), math.log10(hi), grid_points)
-    A = values[:, None]
-    B = values[None, :]
     pt = (eq.point.C, eq.point.I, eq.point.V)
-    entries = _omega_entries(params, A, B, 1.0, pt, pt)
+    entries = _omega_entries(params, _WEIGHTS[:, None], _WEIGHTS[None, :], 1.0, pt, pt)
     d1, d2, d3 = _minors(*entries)
     score = np.minimum(np.minimum(d1, d2), d3)  # broadcasts to (A, B) grid
 
-    flat = int(np.argmax(score))
-    i, j = divmod(flat, grid_points)
-    coeffs = LyapunovCoeffs(A=float(values[i]), B=float(values[j]), D=1.0)
+    i, j = divmod(int(np.argmax(score)), len(_WEIGHTS))
+    coeffs = LyapunovCoeffs(A=float(_WEIGHTS[i]), B=float(_WEIGHTS[j]), D=1.0)
     form = omega_at(params, coeffs, eq, eq.point)
     if not form.positive_definite:
         return None

@@ -24,7 +24,6 @@ characteristic cubic of a 3x3 matrix.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +66,14 @@ class ModelParams:
             object.__setattr__(self, name, _checked_float(name, getattr(self, name), bound))
 
     def replace(self, **changes) -> "ModelParams":
-        """Return a copy with the given fields replaced (re-validated)."""
-        return dataclasses.replace(self, **changes)
+        """Return a copy with the given fields replaced; only those are re-checked."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        for name, value in changes.items():
+            if name not in _BOUND:
+                raise ParameterError(f"{name!r} is not a model parameter")
+            new.__dict__[name] = _checked_float(name, value, _BOUND[name])
+        return new
 
 
 @dataclass(frozen=True)

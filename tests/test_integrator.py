@@ -241,6 +241,26 @@ def test_csv_roundtrip(p2):
         assert vals[1:] == list(traj.states[idx])
 
 
+def test_csv_exact_text(p2):
+    # every value printed with %.17g, one row per record
+    def expected(header, rows):
+        return header + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+
+    traj = integrate(p2, State(1.0, 1.0, 1.0), fixed(0.5, 1.0))
+    assert len(traj.times) == 3
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    assert buf.getvalue() == expected(
+        "t,C,I,V\n", ([t, *s] for t, s in zip(traj.times, traj.states))
+    )
+
+    traced = lyapunov_trace(p2, ONES, inner_equilibrium(p2), State(1.0, 1.0, 1.0), fixed(0.5, 1.0))
+    buf = io.StringIO()
+    traced.write_csv(buf)
+    rows = ([t, *s, *w] for t, s, w in zip(traced.times, traced.states, traced.lyapunov_samples))
+    assert buf.getvalue() == expected("t,C,I,V,W,Wdot\n", rows)
+
+
 def test_trace_csv_header(p2):
     eq = inner_equilibrium(p2)
     traj = lyapunov_trace(p2, ONES, eq, State(1.0, 1.0, 1.0), fixed(0.25, 1.0))
@@ -301,5 +321,5 @@ def test_attach_rejects_boundary_states(p2):
     eq = inner_equilibrium(p2)
     synth = Trajectory(times=np.array([0.0, 1.0]),
                        states=np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"t=1\.0: \(1\.0, 0\.0, 1\.0\)"):
         _attach_lyapunov(p2, ONES, eq, synth)

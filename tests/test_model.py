@@ -54,6 +54,14 @@ def test_params_replace_revalidates(p1):
     assert p1.replace(alpha=0.25).alpha == 0.25
     with pytest.raises(ParameterError):
         p1.replace(sigma=-1.0)
+    with pytest.raises(ParameterError, match="'alpha'"):
+        p1.replace(alpha=True)
+    with pytest.raises(ParameterError, match="'beta'"):
+        p1.replace(beta=1.0)
+    q = p1.replace(alpha=0.25, k=3)
+    assert q == ModelParams(**{**vars(p1), "alpha": 0.25, "k": 3.0})
+    assert type(q.k) is float
+    assert p1.alpha == 0.0 and p1.k == 1.0
 
 
 # ---------------------------------------------------------------------------
