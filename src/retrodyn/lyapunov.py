@@ -254,14 +254,18 @@ def search_coeffs(params: ModelParams, eq: Equilibrium) -> Optional[Tuple[Lyapun
     D is pinned to 1 (scaling all three weights only rescales the
     minors, so nothing is lost), while A and B range over 41
     log-spaced values in [1e-3, 1e3].  The weight pair maximizing the
-    smallest minor wins; None is returned when even the best pair
-    leaves min(delta1..3) <= 0.
+    smallest minor wins, and a pair whose minors overflow to NaN never
+    does; None is returned when even the best pair leaves
+    min(delta1..3) <= 0.
     """
     _require_inner(eq)
     pt = (eq.point.C, eq.point.I, eq.point.V)
-    entries = _omega_entries(params, _WEIGHTS[:, None], _WEIGHTS[None, :], 1.0, pt, pt)
-    d1, d2, d3 = _minors(*entries)
-    score = np.minimum(np.minimum(d1, d2), d3)  # broadcasts to (A, B) grid
+    # Overflow on the grid is expected at extreme rates; its NaNs are kept out of the argmax.
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = _omega_entries(params, _WEIGHTS[:, None], _WEIGHTS[None, :], 1.0, pt, pt)
+        d1, d2, d3 = _minors(*entries)
+        score = np.minimum(np.minimum(d1, d2), d3)  # broadcasts to (A, B) grid
+    score[np.isnan(score)] = -np.inf
 
     i, j = divmod(int(np.argmax(score)), len(_WEIGHTS))
     coeffs = LyapunovCoeffs(A=float(_WEIGHTS[i]), B=float(_WEIGHTS[j]), D=1.0)

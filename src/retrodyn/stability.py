@@ -7,7 +7,8 @@ the open left half-plane iff
 
 The three left-hand sides are reported as margins; a margin inside the
 band [-MARGINAL_TOL, MARGINAL_TOL] makes the verdict Marginal rather
-than committing to either side.
+than committing to either side, and so does a NaN margin when no other
+margin is clearly negative.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ class StabilityReport:
 def routh_hurwitz_cubic(cubic: CubicCoeffs) -> StabilityReport:
     """Classify a monic cubic by the sign pattern of its Hurwitz margins."""
     margins = (cubic.p, cubic.r, cubic.p * cubic.q - cubic.r)
-    low = min(margins)
-    if low < -MARGINAL_TOL:
+    if any(m < -MARGINAL_TOL for m in margins):
         verdict = Verdict.UNSTABLE
-    elif low > MARGINAL_TOL:
+    elif all(m > MARGINAL_TOL for m in margins):
         verdict = Verdict.STABLE
     else:
         verdict = Verdict.MARGINAL

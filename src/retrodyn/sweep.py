@@ -3,13 +3,12 @@
 Every grid cell re-solves the model at (alpha, k) with the remaining
 parameters taken from a base set, then records whether the coexistence
 equilibrium exists and what the local and Lyapunov diagnostics say
-about it.  Cells are independent, so the map is evaluated on a thread
-pool and reassembled by index.
+about it.  Each cell is pure-Python work, so the map is one nested
+loop over the axes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence, Tuple
 
@@ -70,9 +69,8 @@ class SweepResult:
         """Rows in row-major (alpha outer, k inner) order; a trailing
         comment carries the stable-rectangle corner when one exists."""
         stream.write("alpha,k,inner_exists,rh_verdict,sylvester_pd,cond4_as_written,cond4_corrected\n")
-        for i, alpha in enumerate(self.grid.alpha_values):
-            for j, k in enumerate(self.grid.k_values):
-                cell = self.cells[i][j]
+        for alpha, row in zip(self.grid.alpha_values, self.cells):
+            for k, cell in zip(self.grid.k_values, row):
                 if cell.inner_exists:
                     tail = "%s,%s,%s,%s" % (
                         cell.rh_verdict.value,
@@ -132,23 +130,14 @@ def _anchored_rectangle(stable: np.ndarray) -> Optional[Tuple[int, int]]:
 
 
 def stability_map(grid: SweepGrid, max_workers: Optional[int] = None) -> SweepResult:
-    """Evaluate every cell of the grid (threaded) and locate the largest
+    """Evaluate every cell of the grid in order and locate the largest
     all-stable rectangle anchored at the smallest (alpha, k) corner.
 
-    The result is independent of worker count and scheduling order.
+    ``max_workers`` is accepted and ignored, only because the benchmark
+    in ``bench/run.py`` still calls ``stability_map(grid, max_workers=1)``.
     """
     alphas, ks = grid.alpha_values, grid.k_values
-    n_alpha, n_k = len(alphas), len(ks)
-
-    def work(idx: int):
-        i, j = divmod(idx, n_k)
-        return idx, evaluate_cell(grid.base, alphas[i], ks[j])
-
-    flat = [None] * (n_alpha * n_k)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        for idx, cell in pool.map(work, range(n_alpha * n_k)):
-            flat[idx] = cell
-    cells = [flat[i * n_k : (i + 1) * n_k] for i in range(n_alpha)]
+    cells = [[evaluate_cell(grid.base, alpha, k) for k in ks] for alpha in alphas]
 
     stable = np.array(
         [[c.inner_exists and c.rh_verdict is Verdict.STABLE for c in row] for row in cells],

@@ -24,6 +24,8 @@ from retrodyn import (
     w_value,
 )
 
+from retrodyn.lyapunov import _WEIGHTS
+
 from conftest import sample_params, state_near
 
 ONES = LyapunovCoeffs(1.0, 1.0, 1.0)
@@ -256,6 +258,18 @@ def test_search_p2_frozen(p2):
     got = sylvester_minors(form)
     for g, want in zip(got, P2_SEARCH_MINORS):
         assert g == pytest.approx(want, rel=1e-12)
+
+
+def test_search_skips_overflowed_weights(p2):
+    # P2 with every rate x 1e101: part of the weight grid overflows to
+    # NaN minors, yet definite grid points remain
+    p = p2.replace(**{name: 1e101 * getattr(p2, name) for name in ("a", "a_I", "m", "sigma", "alpha")})
+    hit = search_coeffs(p, inner_equilibrium(p))
+    assert hit is not None
+    coeffs, form = hit
+    assert (coeffs.A, coeffs.B) == (1e-3, _WEIGHTS[15])
+    assert form.positive_definite
+    assert np.all(np.linalg.eigvalsh(form.as_matrix()) > 0.0)
 
 
 def test_search_unstable_exemplar_absent(p_unstable):

@@ -25,6 +25,19 @@ def test_rh_examples():
     assert routh_hurwitz_cubic(CubicCoeffs(-1.0, 1.0, 1.0)).verdict is Verdict.UNSTABLE
 
 
+def test_rh_nan_margin_is_not_stable(p2):
+    nan = float("nan")
+    assert routh_hurwitz_cubic(CubicCoeffs(1.0, nan, 1.0)).verdict is Verdict.MARGINAL
+    assert routh_hurwitz_cubic(CubicCoeffs(1.0, 2.0, nan)).verdict is Verdict.MARGINAL
+    assert routh_hurwitz_cubic(CubicCoeffs(-1.0, nan, 1.0)).verdict is Verdict.UNSTABLE
+    # P2 with every rate x 1e103: the cubic overflows and p*q - r is NaN
+    p = p2.replace(**{name: 1e103 * getattr(p2, name) for name in ("a", "a_I", "m", "sigma", "alpha")})
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = classify_equilibrium(p, inner_equilibrium(p))
+    assert np.isnan(rep.margins[2])
+    assert rep.verdict is not Verdict.STABLE
+
+
 def test_rh_margins_definition():
     rep = routh_hurwitz_cubic(CubicCoeffs(2.0, 3.0, 0.5))
     assert rep.margins == (2.0, 0.5, 2.0 * 3.0 - 0.5)

@@ -1,4 +1,5 @@
 import io
+import threading
 
 import numpy as np
 import pytest
@@ -159,13 +160,20 @@ def test_csv_format(p2, p3):
     assert lines3[1].endswith(",false,,,,")
 
 
-def test_threaded_result_is_deterministic(p2):
+def test_map_starts_no_thread_and_repeats(p2, monkeypatch):
+    def refuse(self):
+        raise AssertionError("stability_map started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     grid = SweepGrid(base=p2, alpha_values=log_axis(0.02, 0.9, 8),
                      k_values=log_axis(0.2, 1.8, 8))
-    res1 = stability_map(grid, max_workers=1)
-    res4 = stability_map(grid, max_workers=4)
-    assert res1.cells == res4.cells
-    assert (res1.alpha0, res1.k0) == (res4.alpha0, res4.k0)
+    res1, res2 = stability_map(grid), stability_map(grid, max_workers=1)
+    assert res1.cells == res2.cells
+    assert (res1.alpha0, res1.k0) == (res2.alpha0, res2.k0)
+    buf1, buf2 = io.StringIO(), io.StringIO()
+    res1.write_csv(buf1)
+    res2.write_csv(buf2)
+    assert buf1.getvalue() == buf2.getvalue()
 
 
 def test_alpha_margin_whole_range_stable(p2):
