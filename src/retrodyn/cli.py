@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -147,6 +148,22 @@ def _need(config: RunConfig, attr: str, command: str):
     return value
 
 
+def _finite_or_null(value):
+    """The record with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _print_json(record: dict):
+    # Strict JSON: NaN and Infinity are not JSON, and strict parsers reject them.
+    print(json.dumps(_finite_or_null(record), allow_nan=False))
+
+
 def _equilibrium_record(eq) -> dict:
     return {
         "kind": eq.kind.value,
@@ -160,7 +177,7 @@ def _equilibrium_record(eq) -> dict:
 def cmd_equilibria(config: RunConfig, args) -> int:
     eqs = all_equilibria(config.params)
     for eq in eqs:
-        print(json.dumps(_equilibrium_record(eq)))
+        _print_json(_equilibrium_record(eq))
     has_inner = any(eq.kind.value == "inner" for eq in eqs)
     return 0 if has_inner else 1
 
@@ -193,26 +210,24 @@ def cmd_stability(config: RunConfig, args) -> int:
                 "minors": [form.delta1, form.delta2, form.delta3],
             }
         )
-    print(
-        json.dumps(
-            {
-                "equilibrium": _equilibrium_record(eq),
-                "routh_hurwitz": {
-                    "p": report.cubic.p,
-                    "q": report.cubic.q,
-                    "r": report.cubic.r,
-                    "verdict": report.verdict.value,
-                    "margins": list(report.margins),
-                },
-                "condition4": {
-                    "variant": c4.variant.value,
-                    "lhs": c4.lhs,
-                    "rhs": c4.rhs,
-                    "holds": c4.holds,
-                },
-                "coefficient_search": search_record,
-            }
-        )
+    _print_json(
+        {
+            "equilibrium": _equilibrium_record(eq),
+            "routh_hurwitz": {
+                "p": report.cubic.p,
+                "q": report.cubic.q,
+                "r": report.cubic.r,
+                "verdict": report.verdict.value,
+                "margins": list(report.margins),
+            },
+            "condition4": {
+                "variant": c4.variant.value,
+                "lhs": c4.lhs,
+                "rhs": c4.rhs,
+                "holds": c4.holds,
+            },
+            "coefficient_search": search_record,
+        }
     )
     return 0 if report.verdict is Verdict.STABLE else 1
 

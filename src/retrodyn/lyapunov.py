@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -42,6 +43,17 @@ from .model import ModelParams, State, _rhs
 
 # The weights A and B that search_coeffs tries: 41 log-spaced values in [1e-3, 1e3].
 _WEIGHTS = np.logspace(-3.0, 3.0, 41)
+_WEIGHT_LIST = _WEIGHTS.tolist()
+# Relative widening of each closed-form root before it is mapped onto the
+# grid, so that a grid point within rounding of a root is still tried.
+_ROOT_SLACK = 1e-9
+# _grid_has_definite's closed forms are trusted only while Omega's
+# entries per unit weight sum to less than _PART_MAX in magnitude and
+# the diagonal products that set the scale of delta2 and delta3 exceed
+# _SCALE_MIN: then no minor on the grid overflows or loses its
+# precision to underflow.
+_PART_MAX = 1e40
+_SCALE_MIN = 1e-100
 
 
 @dataclass(frozen=True)
@@ -273,3 +285,69 @@ def search_coeffs(params: ModelParams, eq: Equilibrium) -> Optional[Tuple[Lyapun
     if not form.positive_definite:
         return None
     return coeffs, form
+
+
+def _positive_run(c2, c1, c0):
+    """Grid indices x where c2*x^2 + c1*x + c0 > 0, for c0 <= 0.
+
+    For c2 <= 0 the positive set on x > 0 is one interval, whose ends
+    come from the cancellation-free root formulas (hi is inf when
+    c2 == 0) and are widened by _ROOT_SLACK.  c2 > 0 can only occur on
+    a B column where delta2 <= 0, kept by that widening; then every
+    index is returned.
+    """
+    if c2 > 0.0:
+        return range(len(_WEIGHT_LIST))
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if not (c1 > 0.0 and disc > 0.0):
+        return range(0)
+    s = c1 + math.sqrt(disc)
+    lo = -2.0 * c0 / s
+    hi = s / (-2.0 * c2) if c2 < 0.0 else math.inf
+    return range(
+        bisect_right(_WEIGHT_LIST, lo * (1.0 - _ROOT_SLACK)),
+        bisect_left(_WEIGHT_LIST, hi * (1.0 + _ROOT_SLACK)),
+    )
+
+
+def _grid_has_definite(params: ModelParams, eq: Equilibrium) -> bool:
+    """``search_coeffs(params, eq) is not None``, decided through Omega's algebra.
+
+    With D = 1 at the equilibrium, omega11 = sigma/V^^2 is constant,
+    omega22 = g*B and omega12 = u*B + c (u, c <= 0) depend on B alone,
+    and omega33 = h*A, omega13 = e*A, omega23 = f*A + q*B.  So delta2
+    is a concave quadratic in B, and on each B column where delta2 > 0,
+    delta3 is a quadratic in A with c2 <= 0 and c0 <= 0; each positive
+    set is one interval.
+    Only the grid points inside them are evaluated, with the operations
+    search_coeffs applies at that point, and the first definite one
+    decides.  Out of the closed forms' safe range the grid search runs.
+    """
+    _require_inner(eq)
+    pt = (eq.point.C, eq.point.I, eq.point.V)
+    # Every entry is linear in (A, B, D), and no entry holds both an A
+    # and a D term, so two evaluations give each weight's part.
+    w11, _, h, c, e, f = _omega_entries(params, 1.0, 0.0, 1.0, pt, pt)
+    _, g, _, u, _, q = _omega_entries(params, 0.0, 1.0, 0.0, pt, pt)
+    # A NaN or inf part makes the sum fail the test as well.
+    parts = (w11, g, h, u, c, e, f, q)
+    if not (sum(map(abs, parts)) < _PART_MAX and min(w11 * g, w11 * g * h) > _SCALE_MIN):
+        return search_coeffs(params, eq) is not None
+
+    # delta2(B) = w11*g*B - (u*B + c)^2
+    b_run = _positive_run(-u * u, w11 * g - 2.0 * u * c, -c * c)
+    for j in b_run:
+        B = _WEIGHT_LIST[j]
+        w12 = u * B + c
+        w22 = g * B
+        qB = q * B
+        a_run = _positive_run(
+            -(w11 * f * f - 2.0 * w12 * e * f + w22 * e * e),
+            h * (w11 * w22 - w12 * w12) + 2.0 * qB * (w12 * e - w11 * f),
+            -w11 * qB * qB,
+        )
+        for i in a_run:
+            d1, d2, d3 = _minors(*_omega_entries(params, _WEIGHT_LIST[i], B, 1.0, pt, pt))
+            if d1 > 0.0 and d2 > 0.0 and d3 > 0.0:
+                return True
+    return False

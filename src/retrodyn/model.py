@@ -166,15 +166,18 @@ def char_cubic(J: np.ndarray) -> CubicCoeffs:
     J = np.asarray(J, dtype=float)
     if J.shape != (3, 3):
         raise ParameterError(f"expected a 3x3 matrix, got shape {J.shape}")
-    p = -(J[0, 0] + J[1, 1] + J[2, 2])
+    # Python floats: the same operations as on numpy scalars, without
+    # their per-operation cost or their overflow warnings.
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J.tolist()
+    p = -(j00 + j11 + j22)
     q = (
-        (J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1])
-        + (J[0, 0] * J[2, 2] - J[0, 2] * J[2, 0])
-        + (J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
+        (j11 * j22 - j12 * j21)
+        + (j00 * j22 - j02 * j20)
+        + (j00 * j11 - j01 * j10)
     )
     det = (
-        J[0, 0] * (J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1])
-        - J[0, 1] * (J[1, 0] * J[2, 2] - J[1, 2] * J[2, 0])
-        + J[0, 2] * (J[1, 0] * J[2, 1] - J[1, 1] * J[2, 0])
+        j00 * (j11 * j22 - j12 * j21)
+        - j01 * (j10 * j22 - j12 * j20)
+        + j02 * (j10 * j21 - j11 * j20)
     )
-    return CubicCoeffs(p=float(p), q=float(q), r=float(-det))
+    return CubicCoeffs(p=p, q=q, r=-det)

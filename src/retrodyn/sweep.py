@@ -4,7 +4,11 @@ Every grid cell re-solves the model at (alpha, k) with the remaining
 parameters taken from a base set, then records whether the coexistence
 equilibrium exists and what the local and Lyapunov diagnostics say
 about it.  Each cell is pure-Python work, so the map is one nested
-loop over the axes.
+loop over the axes.  A cell's ``sylvester_pd`` asks whether the weight
+grid of ``search_coeffs`` holds a definite form; the sweep answers it
+on the same 41x41 grid through the algebra of Omega (closed-form
+intervals, then an exact check of the grid points inside them), with
+answers identical to ``search_coeffs(...) is not None``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .equilibria import inner_equilibrium
 from .errors import ParameterError, _checked_float
-from .lyapunov import Condition4Variant, condition4, search_coeffs
+from .lyapunov import Condition4Variant, _grid_has_definite, condition4
 from .model import ModelParams
 from .stability import Verdict, classify_equilibrium
 
@@ -90,13 +94,17 @@ def _csv_bool(flag: bool) -> str:
 
 
 def evaluate_cell(base: ModelParams, alpha: float, k: float) -> SweepCell:
-    """Full diagnostic battery for a single (alpha, k) combination."""
+    """Full diagnostic battery for a single (alpha, k) combination.
+
+    ``sylvester_pd`` is ``search_coeffs(p, eq) is not None``, decided by
+    ``lyapunov._grid_has_definite`` without searching the whole grid.
+    """
     p = base.replace(alpha=alpha, k=k)
     eq = inner_equilibrium(p)
     if eq is None:
         return SweepCell(False, None, None, None, None)
     report = classify_equilibrium(p, eq)
-    definite = search_coeffs(p, eq) is not None
+    definite = _grid_has_definite(p, eq)
     c4_aw = condition4(p, eq, Condition4Variant.AS_WRITTEN).holds
     c4_co = condition4(p, eq, Condition4Variant.CORRECTED).holds
     return SweepCell(True, report.verdict, definite, c4_aw, c4_co)

@@ -221,6 +221,25 @@ def test_stability_unstable_exit_1(tmp_path, capsys):
     assert rec["coefficient_search"]["found"] is False
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_stability_prints_strict_json(tmp_path, capsys):
+    # P2 with every rate x 1e103: r overflows to inf and p*q - r to NaN,
+    # which print as null; no warning reaches stderr
+    rates = {name: 1e103 * P2[name] for name in ("a", "a_I", "m", "sigma", "alpha")}
+    cfg = write_config(tmp_path, {"params": dict(P2, **rates)})
+    code, out, err = run_cli(["--config", cfg, "stability"], capsys)
+    assert (code, err) == (1, "")
+    rec = json.loads(out, parse_constant=_reject_constant)
+    rh = rec["routh_hurwitz"]
+    assert rh["verdict"] == "Marginal"
+    assert rh["r"] is None and rh["margins"][1:] == [None, None]
+    assert rh["margins"][0] == rh["p"] > 0.0
+    assert rec["coefficient_search"]["found"] is True
+
+
 def test_stability_no_inner_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path, {"params": P3})
     code, out, err = run_cli(["--config", cfg, "stability"], capsys)

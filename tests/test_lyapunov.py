@@ -24,9 +24,10 @@ from retrodyn import (
     w_value,
 )
 
-from retrodyn.lyapunov import _WEIGHTS
+import retrodyn.lyapunov
+from retrodyn.lyapunov import _WEIGHTS, _grid_has_definite, _positive_run
 
-from conftest import sample_params, state_near
+from conftest import sample_params, sample_params_mild, state_near
 
 ONES = LyapunovCoeffs(1.0, 1.0, 1.0)
 
@@ -260,16 +261,63 @@ def test_search_p2_frozen(p2):
         assert g == pytest.approx(want, rel=1e-12)
 
 
+def _rates_times(p, factor):
+    # the same model in a time unit 1/factor as long
+    return p.replace(**{name: factor * getattr(p, name) for name in ("a", "a_I", "m", "sigma", "alpha")})
+
+
 def test_search_skips_overflowed_weights(p2):
     # P2 with every rate x 1e101: part of the weight grid overflows to
     # NaN minors, yet definite grid points remain
-    p = p2.replace(**{name: 1e101 * getattr(p2, name) for name in ("a", "a_I", "m", "sigma", "alpha")})
+    p = _rates_times(p2, 1e101)
     hit = search_coeffs(p, inner_equilibrium(p))
     assert hit is not None
     coeffs, form = hit
     assert (coeffs.A, coeffs.B) == (1e-3, _WEIGHTS[15])
     assert form.positive_definite
     assert np.all(np.linalg.eigvalsh(form.as_matrix()) > 0.0)
+
+
+def test_positive_run_hand_cases():
+    # _WEIGHTS[20] == 1 and _WEIGHTS[22] < 2 < _WEIGHTS[23]; the ends are
+    # widened, so a grid point on a root is kept for the exact check
+    assert _WEIGHTS[20] == 1.0 and _WEIGHTS[22] < 2.0 < _WEIGHTS[23]
+    assert _positive_run(-1.0, 3.0, -2.0) == range(20, 23)  # roots 1 and 2
+    assert _positive_run(0.0, 1.0, -1.0) == range(20, 41)  # linear: x > 1
+    assert _positive_run(-1.0, 1.0, 0.0) == range(0, 21)  # 0 < x < 1
+    assert _positive_run(-1.0, -1.0, -1.0) == range(0)
+    assert _positive_run(-1.0, 1.0, -1.0) == range(0)  # no real root
+    assert _positive_run(1.0, 1.0, -1.0) == range(41)  # convex: every point
+
+
+def test_grid_has_definite_matches_search(p1, p2, p_unstable):
+    # the algebraic decision against the grid search it replaces in the sweep
+    cases = [p1, p2, p_unstable] + [_rates_times(p2, s) for s in (1e-5, 1e50, 1e101, 1e103)]
+    rng = np.random.default_rng(71)
+    for sampler in (sample_params, sample_params_mild):
+        cases += [sampler(rng) for _ in range(2000)]
+    outcomes = []
+    for p in cases:
+        eq = inner_equilibrium(p)
+        if eq is None:
+            continue
+        want = search_coeffs(p, eq) is not None
+        assert _grid_has_definite(p, eq) is want, p
+        outcomes.append(want)
+    assert len(outcomes) > 2500 and 0 < sum(outcomes) < len(outcomes)
+
+
+def test_grid_has_definite_skips_the_grid_search(p1, p2, p_unstable, monkeypatch):
+    # in range the closed forms decide alone; only overflow needs the grid
+    def refuse(params, eq):
+        raise AssertionError("fell back to search_coeffs")
+
+    monkeypatch.setattr(retrodyn.lyapunov, "search_coeffs", refuse)
+    for p in (p1, p2, p_unstable, _rates_times(p2, 1e-5), _rates_times(p2, 1e20)):
+        _grid_has_definite(p, inner_equilibrium(p))
+    p = _rates_times(p2, 1e103)
+    with pytest.raises(AssertionError, match="fell back"):
+        _grid_has_definite(p, inner_equilibrium(p))
 
 
 def test_search_unstable_exemplar_absent(p_unstable):

@@ -17,7 +17,11 @@ from retrodyn import (
     search_coeffs,
     stability_map,
 )
+import retrodyn.sweep
 from retrodyn.sweep import _anchored_rectangle
+
+from conftest import sample_params
+from test_acceptance import _family_maps
 
 # Frozen: bisection endpoint for the P2 base at k = 1 (the analytic
 # loss-of-stability point is 37/15, resolved here to the 5e-6 stop).
@@ -174,6 +178,26 @@ def test_map_starts_no_thread_and_repeats(p2, monkeypatch):
     res1.write_csv(buf1)
     res2.write_csv(buf2)
     assert buf1.getvalue() == buf2.getvalue()
+
+
+def _map_csv(grid):
+    buf = io.StringIO()
+    stability_map(grid).write_csv(buf)
+    return buf.getvalue()
+
+
+def test_map_csv_matches_grid_search(monkeypatch):
+    # the sweep decides sylvester_pd through Omega's algebra; the bytes
+    # must equal those of a map that runs search_coeffs in every cell
+    grids = [grid for grid, _ in _family_maps().values()]
+    grids.append(SweepGrid(base=sample_params(np.random.default_rng(83)),
+                           alpha_values=log_axis(0.002, 10.0, 16),
+                           k_values=log_axis(0.02, 100.0, 16)))
+    fast = [_map_csv(grid) for grid in grids]
+    monkeypatch.setattr(retrodyn.sweep, "_grid_has_definite",
+                        lambda p, eq: search_coeffs(p, eq) is not None)
+    assert [_map_csv(grid) for grid in grids] == fast
+    assert ",true,true," in fast[-1] and ",true,false," in fast[-1]
 
 
 def test_alpha_margin_whole_range_stable(p2):
