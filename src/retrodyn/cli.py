@@ -11,8 +11,10 @@ All commands read a strict JSON config file:
       "sweep":         {"alpha_values": [...], "k_values": [...]}
     }
 
-Unknown keys are rejected at every level; each command states which
-sections it needs.  Exit codes: 0 analysis done, 1 the requested
+The loader checks only the shape: each section is an object with its
+required keys, no unknown key and no null value.  Every value is then
+checked by the library object built from it.  Each command states
+which sections it needs.  Exit codes: 0 analysis done, 1 the requested
 analytic object does not exist (no coexistence equilibrium, no definite
 form), 2 bad configuration or usage, 3 numerical failure at runtime.
 """
@@ -27,14 +29,21 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .equilibria import all_equilibria, inner_equilibrium
-from .errors import DomainError, IntegrationError, ParameterError, _checked_float
-from .integrator import IntegrationMode, IntegrationOptions, integrate, lyapunov_trace
+from .errors import DomainError, IntegrationError, ParameterError
+from .integrator import IntegrationMode, IntegrationOptions, _check_initial, integrate, lyapunov_trace
 from .lyapunov import Condition4Variant, LyapunovCoeffs, condition4, search_coeffs
 from .model import PARAM_NAMES, ModelParams, State
 from .stability import Verdict, classify_equilibrium
 from .sweep import SweepGrid, stability_map
 
-_SECTIONS = ("params", "initial_state", "integration", "lyapunov", "sweep")
+# Required and optional keys of each config section.
+_KEYS = {
+    "params": (PARAM_NAMES, ()),
+    "initial_state": (("C", "I", "V"), ()),
+    "integration": (("t_end",), ("dt", "rel_tol", "abs_tol", "mode", "max_steps")),
+    "lyapunov": (("A", "B", "D"), ()),
+    "sweep": (("alpha_values", "k_values"), ()),
+}
 
 
 @dataclass
@@ -46,77 +55,34 @@ class RunConfig:
     sweep: Optional[SweepGrid]
 
 
-def _require_mapping(obj, where: str) -> dict:
+def _shape(obj, where: str, required, optional=()) -> dict:
+    """``obj`` itself, once it is a JSON object with every required key,
+    no key outside ``required`` and ``optional``, and no null value."""
     if not isinstance(obj, dict):
         raise ParameterError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    return obj
-
-
-def _reject_unknown(obj: dict, allowed, where: str):
+    allowed = (*required, *optional)
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ParameterError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ParameterError(f"missing key(s) {missing} in {where}")
+    nulls = [key for key, value in obj.items() if value is None]
+    if nulls:
+        raise ParameterError(f"null value for {nulls} in {where}")
+    return obj
 
 
-def _number(obj: dict, key: str, where: str, bound: Optional[str] = None) -> float:
-    if key not in obj:
-        raise ParameterError(f"missing key {key!r} in {where}")
-    return _checked_float(f"{where}.{key}", obj[key], bound)
-
-
-def _parse_params(section) -> ModelParams:
-    obj = _require_mapping(section, "params")
-    _reject_unknown(obj, PARAM_NAMES, "params")
-    return ModelParams(**{name: _number(obj, name, "params") for name in PARAM_NAMES})
-
-
-def _parse_initial_state(section) -> State:
-    obj = _require_mapping(section, "initial_state")
-    _reject_unknown(obj, ("C", "I", "V"), "initial_state")
-    return State(*(_number(obj, key, "initial_state", ">=") for key in ("C", "I", "V")))
-
-
-def _parse_integration(section) -> IntegrationOptions:
-    obj = _require_mapping(section, "integration")
-    allowed = ("t_end", "dt", "rel_tol", "abs_tol", "mode", "max_steps")
-    _reject_unknown(obj, allowed, "integration")
-    kwargs = {"t_end": _number(obj, "t_end", "integration")}
-    for key in ("dt", "rel_tol", "abs_tol"):
-        if key in obj:
-            kwargs[key] = _number(obj, key, "integration")
-    if "mode" in obj:
-        mode = obj["mode"]
-        values = {m.value: m for m in IntegrationMode}
-        if mode not in values:
-            raise ParameterError(f"integration.mode must be one of {sorted(values)}, got {mode!r}")
-        kwargs["mode"] = values[mode]
-    if "max_steps" in obj:
-        kwargs["max_steps"] = obj["max_steps"]
-    return IntegrationOptions(**kwargs)
-
-
-def _parse_lyapunov(section) -> LyapunovCoeffs:
-    obj = _require_mapping(section, "lyapunov")
-    _reject_unknown(obj, ("A", "B", "D"), "lyapunov")
-    return LyapunovCoeffs(*(_number(obj, key, "lyapunov") for key in ("A", "B", "D")))
-
-
-def _parse_sweep(section, base: ModelParams) -> SweepGrid:
-    obj = _require_mapping(section, "sweep")
-    _reject_unknown(obj, ("alpha_values", "k_values"), "sweep")
-    axes = {}
-    for key in ("alpha_values", "k_values"):
-        if key not in obj:
-            raise ParameterError(f"missing key {key!r} in sweep")
-        values = obj[key]
-        if not isinstance(values, list):
-            raise ParameterError(f"sweep.{key} must be an array, got {values!r}")
-        axes[key] = values
-    return SweepGrid(base=base, alpha_values=axes["alpha_values"], k_values=axes["k_values"])
+def _integration_options(**fields) -> IntegrationOptions:
+    # A config names the mode by its value; any other value reaches
+    # IntegrationOptions as it is, and is rejected there.
+    if "mode" in fields:
+        fields["mode"] = next((m for m in IntegrationMode if m.value == fields["mode"]), fields["mode"])
+    return IntegrationOptions(**fields)
 
 
 def load_config(path: str) -> RunConfig:
-    """Read and validate a config file into typed pieces."""
+    """Read a config file, check its shape, and build the typed pieces."""
     try:
         with open(path, "r") as fh:
             text = fh.read()
@@ -127,17 +93,18 @@ def load_config(path: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ParameterError(f"config {path!r} is not valid JSON: {exc}") from exc
 
-    top = _require_mapping(raw, "config")
-    _reject_unknown(top, _SECTIONS, "config")
-    if "params" not in top:
-        raise ParameterError("config is missing the required 'params' section")
-    params = _parse_params(top["params"])
+    top = _shape(raw, "config", ("params",), tuple(_KEYS)[1:])
+
+    def section(name, build):
+        return build(**_shape(top[name], name, *_KEYS[name])) if name in top else None
+
+    params = section("params", ModelParams)
     return RunConfig(
         params=params,
-        initial_state=_parse_initial_state(top["initial_state"]) if "initial_state" in top else None,
-        integration=_parse_integration(top["integration"]) if "integration" in top else None,
-        lyapunov=_parse_lyapunov(top["lyapunov"]) if "lyapunov" in top else None,
-        sweep=_parse_sweep(top["sweep"], params) if "sweep" in top else None,
+        initial_state=section("initial_state", lambda **s: _check_initial(State(**s))),
+        integration=section("integration", _integration_options),
+        lyapunov=section("lyapunov", LyapunovCoeffs),
+        sweep=section("sweep", lambda **axes: SweepGrid(base=params, **axes)),
     )
 
 

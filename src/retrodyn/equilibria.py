@@ -59,7 +59,7 @@ def inner_equilibrium(params: ModelParams) -> Optional[Equilibrium]:
     Solves the reduced 2x2 system by Cramer's rule and recovers
     V = k*m*I/sigma.  Returns None when the system is singular
     (relative determinant below ``SINGULAR_RTOL``) or when any
-    coordinate falls at or below ``POSITIVITY_FLOOR``.
+    coordinate is not above ``POSITIVITY_FLOOR`` (NaN included).
     """
     p = params
     a11 = p.b11
@@ -77,7 +77,7 @@ def inner_equilibrium(params: ModelParams) -> Optional[Equilibrium]:
     C = (r1 * a22 - a12 * r2) / det
     I = (a11 * r2 - a21 * r1) / det
     V = p.k * p.m * I / p.sigma
-    if C <= POSITIVITY_FLOOR or I <= POSITIVITY_FLOOR or V <= POSITIVITY_FLOOR:
+    if not (C > POSITIVITY_FLOOR and I > POSITIVITY_FLOOR and V > POSITIVITY_FLOOR):
         return None
     return _make(params, State(C, I, V), EquilibriumKind.INNER)
 

@@ -136,9 +136,9 @@ def step_rk4(params: ModelParams, s: State, dt: float) -> State:
     return State(C, I, V)
 
 
-def _check_initial(s0: State):
-    for name, value in (("initial C", s0.C), ("initial I", s0.I), ("initial V", s0.V)):
-        _checked_float(name, value, ">=")
+def _check_initial(s0: State) -> State:
+    """``s0`` with each population checked to be a finite number >= 0, as floats."""
+    return State(*(_checked_float(f"initial {name}", getattr(s0, name), ">=") for name in ("C", "I", "V")))
 
 
 def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Trajectory:
@@ -153,7 +153,7 @@ def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Traje
         Trajectory with strictly increasing times, t=0 and t=t_end
         included, and every recorded population >= -abs_tol.
     """
-    _check_initial(s0)
+    s0 = _check_initial(s0)
     t_end = opts.t_end
     dt_min = 1e-12 * t_end
     dt_nom = opts.dt if opts.dt is not None else t_end / 100.0

@@ -245,19 +245,22 @@ def condition4(
     units of the other two summands.
     """
     _require_inner(eq)
+    if not isinstance(variant, Condition4Variant):
+        raise ParameterError(f"unknown condition variant {variant!r}")
+    lhs, rhs_as_written, rhs_corrected = _condition4_sides(params, eq)
+    rhs = rhs_as_written if variant is Condition4Variant.AS_WRITTEN else rhs_corrected
+    return Condition4Report(lhs=float(lhs), rhs=float(rhs), holds=bool(lhs > rhs), variant=variant)
+
+
+def _condition4_sides(params: ModelParams, eq: Equilibrium) -> Tuple[float, float, float]:
+    """condition4's lhs and its two right-hand sides (as written, corrected)."""
     p = params
     Ch, Ih, Vh = eq.point.C, eq.point.I, eq.point.V
     bracket_I = p.a_I * p.b22 - (1.0 / Ih) * p.a_I * (1.0 - p.b21 * Ch - p.b22 * Ih) + p.m
     bracket_C = p.a * p.b11 - (1.0 / Ch) * p.a * (1.0 - p.b11 * Ch - p.b12 * Ih)
     lhs = (bracket_I / Ih) * (bracket_C / Ch)
     cross = p.a * p.b12 / Ch + p.b21 / Ih
-    if variant is Condition4Variant.AS_WRITTEN:
-        rhs = 0.25 * (cross - Vh * Vh) ** 2
-    elif variant is Condition4Variant.CORRECTED:
-        rhs = 0.25 * (cross - p.alpha * Vh) ** 2
-    else:
-        raise ParameterError(f"unknown condition variant {variant!r}")
-    return Condition4Report(lhs=float(lhs), rhs=float(rhs), holds=bool(lhs > rhs), variant=variant)
+    return lhs, 0.25 * (cross - Vh * Vh) ** 2, 0.25 * (cross - p.alpha * Vh) ** 2
 
 
 def search_coeffs(params: ModelParams, eq: Equilibrium) -> Optional[Tuple[LyapunovCoeffs, OmegaForm]]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .equilibria import inner_equilibrium
 from .errors import ParameterError, _checked_float
-from .lyapunov import Condition4Variant, _grid_has_definite, condition4
+from .lyapunov import _condition4_sides, _grid_has_definite
 from .model import ModelParams
 from .stability import Verdict, classify_equilibrium
 
@@ -28,9 +28,13 @@ ALPHA_BISECT_LO = 1e-6
 
 
 def _check_axis(name: str, values: Sequence[float]) -> tuple:
-    if len(values) == 0:
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ParameterError(f"{name} must be a sequence of numbers, got {values!r}") from None
+    out = tuple(_checked_float(name, v, ">") for v in items)
+    if not out:
         raise ParameterError(f"{name} must be nonempty")
-    out = tuple(_checked_float(name, v, ">") for v in values)
     for prev, nxt in zip(out, out[1:]):
         if not nxt > prev:
             raise ParameterError(f"{name} must be strictly increasing")
@@ -105,9 +109,8 @@ def evaluate_cell(base: ModelParams, alpha: float, k: float) -> SweepCell:
         return SweepCell(False, None, None, None, None)
     report = classify_equilibrium(p, eq)
     definite = _grid_has_definite(p, eq)
-    c4_aw = condition4(p, eq, Condition4Variant.AS_WRITTEN).holds
-    c4_co = condition4(p, eq, Condition4Variant.CORRECTED).holds
-    return SweepCell(True, report.verdict, definite, c4_aw, c4_co)
+    lhs, rhs_as_written, rhs_corrected = _condition4_sides(p, eq)
+    return SweepCell(True, report.verdict, definite, lhs > rhs_as_written, lhs > rhs_corrected)
 
 
 def _anchored_rectangle(stable: np.ndarray) -> Optional[Tuple[int, int]]:
@@ -162,9 +165,10 @@ def stability_map(grid: SweepGrid, max_workers: Optional[int] = None) -> SweepRe
 def find_alpha_margin(base: ModelParams, k_fixed: float, alpha_hi: float) -> Optional[float]:
     """Largest infection rate (up to ``alpha_hi``) keeping coexistence stable.
 
-    Scans by bisection on [1e-6, alpha_hi] assuming stability is lost
-    monotonically; returns alpha_hi itself when the whole range is
-    stable and None when even alpha = 1e-6 is not.
+    Scans by bisection on [1e-6, alpha_hi]; returns alpha_hi itself when
+    it is stable and None when even alpha = 1e-6 is not.  Bisection
+    assumes the stable alphas along the line form one interval; where
+    they form several, the edge returned can depend on ``alpha_hi``.
     """
     k_fixed = _checked_float("k_fixed", k_fixed, ">")
     alpha_hi = _checked_float("alpha_hi", alpha_hi, ">", ALPHA_BISECT_LO)

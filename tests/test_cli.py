@@ -84,6 +84,13 @@ def test_equilibria_no_inner(tmp_path, capsys):
         {"params": P1, "initial_state": {"C": "1", "I": 0.1, "V": 0.1}},
         {"params": dict(P1, a=10**400)},
         {"params": P1, "initial_state": {"C": -1.0, "I": 0.1, "V": 0.1}},
+        {"params": P1, "integration": {"t_end": 1.0, "dt": None, "mode": "adaptive"}},
+        {"params": P1, "sweep": {"alpha_values": 5, "k_values": [1.0]}},
+        {"params": P1, "sweep": {"alpha_values": "ab", "k_values": [1.0]}},
+        {"params": P1, "sweep": {"alpha_values": None, "k_values": [1.0]}},
+        {"params": P1, "lyapunov": {"A": None, "B": 1.0, "D": 1.0}},
+        {"params": P1, "initial_state": {"C": None, "I": 0.1, "V": 0.1}},
+        {"params": P1, "integration": {"t_end": 1.0, "dt": 0.1, "mode": ["fixed"]}},
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, payload):
@@ -91,6 +98,7 @@ def test_config_errors_exit_2(tmp_path, capsys, payload):
     code, out, err = run_cli(["--config", cfg, "equilibria"], capsys)
     assert code == 2
     assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_bad_json_exit_2(tmp_path, capsys):
@@ -238,6 +246,20 @@ def test_stability_prints_strict_json(tmp_path, capsys):
     assert rh["r"] is None and rh["margins"][1:] == [None, None]
     assert rh["margins"][0] == rh["p"] > 0.0
     assert rec["coefficient_search"]["found"] is True
+
+
+def test_nan_inner_equilibrium_is_absent(tmp_path, capsys):
+    # P2 with every rate x 1e155: Cramer's rule overflows to NaN
+    # coordinates, which must read as no coexistence state
+    rates = {name: 1e155 * P2[name] for name in ("a", "a_I", "m", "sigma", "alpha")}
+    cfg = write_config(tmp_path, {"params": dict(P2, **rates)})
+    code, out, err = run_cli(["--config", cfg, "equilibria"], capsys)
+    assert (code, err) == (1, "")
+    kinds = [json.loads(line)["kind"] for line in out.strip().split("\n")]
+    assert kinds == ["extinction", "uninfected_only", "infected_only"]
+    code, out, err = run_cli(["--config", cfg, "stability"], capsys)
+    assert (code, out) == (1, "")
+    assert "no coexistence equilibrium" in err
 
 
 def test_stability_no_inner_exit_1(tmp_path, capsys):

@@ -20,7 +20,7 @@ from retrodyn import (
     step_rk4,
     w_dot,
 )
-from retrodyn.integrator import _attach_lyapunov
+from retrodyn.integrator import _attach_lyapunov, _check_initial
 
 from conftest import sample_params_mild, state_near
 
@@ -83,6 +83,12 @@ def test_initial_state_validation(p2):
         integrate(p2, State(0.0, float("nan"), 0.0), fixed(0.1, 1.0))
     with pytest.raises(ParameterError):
         integrate(p2, State(True, 0.1, 0.1), fixed(0.1, 1.0))
+    with pytest.raises(ParameterError, match="initial V"):
+        integrate(p2, State(0.1, 0.1, None), fixed(0.1, 1.0))
+    # the check hands back the populations as floats
+    checked = _check_initial(State(1, 0, np.float64(2.5)))
+    assert checked == State(1.0, 0.0, 2.5)
+    assert all(type(v) is float for v in (checked.C, checked.I, checked.V))
 
 
 def test_step_single_accuracy():

@@ -212,6 +212,8 @@ def test_condition4_p1(p1):
     assert r_aw.rhs == 0.0009765625  # (V^2/2)^2 with V^ = 1/4
     assert r_co.rhs == 0.0  # alpha = 0 kills the corrected cross term
     assert r_aw.holds and r_co.holds
+    with pytest.raises(ParameterError, match="variant"):
+        condition4(p1, eq, "corrected")  # the value, not the enum member
 
 
 def test_condition4_p2_frozen(p2):

@@ -47,9 +47,18 @@ def test_grid_validation(p2):
         SweepGrid(base=p2, alpha_values=(0.1,), k_values=(True,))
     with pytest.raises(ParameterError):
         SweepGrid(base=p2, alpha_values=(0.1, float("inf")), k_values=(1.0,))
+    for axis in (5, None, 0.1):
+        with pytest.raises(ParameterError, match="alpha_values"):
+            SweepGrid(base=p2, alpha_values=axis, k_values=(1.0,))
+    with pytest.raises(ParameterError, match="k_values"):
+        SweepGrid(base=p2, alpha_values=(0.1,), k_values="ab")
     grid = SweepGrid(base=p2, alpha_values=[0.1, 0.2], k_values=[1])
     assert grid.alpha_values == (0.1, 0.2)
     assert grid.k_values == (1.0,)
+    grid = SweepGrid(base=p2, alpha_values=np.array([0.1, 0.2]), k_values=(1, 2.0))
+    assert grid.alpha_values == (0.1, 0.2)
+    assert grid.k_values == (1.0, 2.0)
+    assert all(type(v) is float for v in grid.alpha_values + grid.k_values)
 
 
 def test_evaluate_cell_matches_components(p2):
