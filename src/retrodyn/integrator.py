@@ -1,20 +1,22 @@
 """Time integration with a classical 4th-order Runge-Kutta scheme.
 
-Two stepping policies share the same RK4 kernel:
+Two stepping policies share the same RK4 kernel and one accept/retry
+rule:
 
-  * fixed     : constant nominal step.  A proposed step that would push
-                any population below -abs_tol is retried with half the
-                step (repeatedly); once a shortened step is accepted the
-                nominal step is resumed.
+  * fixed     : constant nominal step dt.
   * adaptive  : step doubling.  Each step is taken once at dt and twice
                 at dt/2; the max-norm difference / 15 estimates the
-                local error of the fine solution, which is accepted when
-                the estimate stays below rel_tol*|state| + abs_tol.
-                Accepted states are the fine (two half-step) ones.
+                local error err of the fine (two half-step) solution,
+                which is accepted when err <= tol = rel_tol*|state| +
+                abs_tol.  The next dt is the accepted step times the
+                controller factor min(2, max(0.2, 0.9*(tol/err)**0.2)).
 
-Both policies raise IntegrationError when the step underflows
-(1e-12 * t_end), the step budget is exhausted, or the state turns
-non-finite at full precision.
+A step is retried at half length when a population would fall below
+-abs_tol or a value is non-finite, and (adaptive only) at the controller
+factor, then in [0.2, 0.9), when err > tol.  Fixed mode resumes dt after
+a shortened step.  A non-finite value is not fatal: IntegrationError is
+raised only when the step drops below 1e-12 * t_end or the step budget
+is exhausted.
 
 Empirical cap: trajectories from nonnegative initial data stay below
 
@@ -156,7 +158,7 @@ def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Traje
     s0 = _check_initial(s0)
     t_end = opts.t_end
     dt_min = 1e-12 * t_end
-    dt_nom = opts.dt if opts.dt is not None else t_end / 100.0
+    dt = opts.dt if opts.dt is not None else t_end / 100.0
     adaptive = opts.mode is IntegrationMode.ADAPTIVE_RK4
     neg_floor = -opts.abs_tol
 
@@ -164,62 +166,44 @@ def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Traje
     t = 0.0
     times = [0.0]
     states = [y]
-    steps = 0
-    dt = dt_nom
 
     while t < t_end:
         remaining = t_end - t
         dt_try = dt if dt < remaining else remaining
-        is_last = dt_try >= remaining
-        dt_next = dt
-
         while True:  # attempt loop: shrink dt_try until acceptable
+            shrink = 0.5  # negativity or a non-finite value
             if adaptive:
                 full = _rk4(params, y[0], y[1], y[2], dt_try)
                 h = 0.5 * dt_try
                 mid = _rk4(params, y[0], y[1], y[2], h)
-                fine = _rk4(params, mid[0], mid[1], mid[2], h)
-                proposal = fine
-                finite = all(map(math.isfinite, full)) and all(map(math.isfinite, fine))
-                if finite:
-                    err = max(
-                        abs(fine[0] - full[0]), abs(fine[1] - full[1]), abs(fine[2] - full[2])
-                    ) / 15.0
+                proposal = _rk4(params, mid[0], mid[1], mid[2], h)
+                ok = all(map(math.isfinite, full)) and all(map(math.isfinite, proposal))
+                if ok:
+                    err = max(abs(proposal[0] - full[0]), abs(proposal[1] - full[1]),
+                              abs(proposal[2] - full[2])) / 15.0
                     tol = opts.rel_tol * max(abs(y[0]), abs(y[1]), abs(y[2])) + opts.abs_tol
-                    if err > tol:
-                        factor = max(_SHRINK_MIN, _SAFETY * (tol / err) ** 0.2)
-                        dt_try = dt_try * factor
-                        is_last = False
-                        if dt_try < dt_min:
-                            raise IntegrationError(
-                                f"adaptive step underflow below {dt_min!r} at t={t!r}"
-                            )
-                        continue
-                    if err == 0.0:
-                        dt_next = dt_try * _GROW_MAX
-                    else:
-                        dt_next = dt_try * min(_GROW_MAX, max(_SHRINK_MIN, _SAFETY * (tol / err) ** 0.2))
+                    factor = _GROW_MAX if err == 0.0 else min(
+                        _GROW_MAX, max(_SHRINK_MIN, _SAFETY * (tol / err) ** 0.2))
+                    if err > tol:  # factor < _SAFETY here
+                        ok, shrink = False, factor
             else:
                 proposal = _rk4(params, y[0], y[1], y[2], dt_try)
-                finite = all(map(math.isfinite, proposal))
-
-            if finite and min(proposal) >= neg_floor:
+                ok = all(map(math.isfinite, proposal))
+            if ok and min(proposal) >= neg_floor:
                 break
-            dt_try = 0.5 * dt_try  # negativity or blow-up: retry shorter
-            is_last = False
+            dt_try = dt_try * shrink
             if dt_try < dt_min:
-                raise IntegrationError(
-                    f"step underflow below {dt_min!r} at t={t!r} (state {y!r})"
-                )
+                raise IntegrationError(f"step underflow below {dt_min!r} at t={t!r} (state {y!r})")
 
+        # every shrink factor is < 1, so only an unshrunk step can reach t_end
         y = proposal
-        t = t_end if is_last else t + dt_try
+        t = t_end if dt_try >= remaining else t + dt_try
         times.append(t)
         states.append(y)
-        steps += 1
-        if steps > opts.max_steps:
+        if len(times) > opts.max_steps + 1:
             raise IntegrationError(f"step budget max_steps={opts.max_steps} exhausted at t={t!r}")
-        dt = dt_next if adaptive else dt_nom
+        if adaptive:
+            dt = dt_try * factor
 
     return Trajectory(times=np.array(times), states=np.array(states))
 
@@ -230,9 +214,8 @@ def _attach_lyapunov(
     eq: Equilibrium,
     traj: Trajectory,
 ) -> Trajectory:
-    # Sampling W requires the inner equilibrium and strictly positive
-    # populations at every record; both are checked here once.
-    _require_inner(eq)
+    # W is defined only at strictly positive populations; eq is the
+    # inner equilibrium, checked by the caller.
     pt = eq.point
     samples = []
     for t, (C, I, V) in zip(traj.times.tolist(), traj.states.tolist()):
@@ -253,10 +236,13 @@ def lyapunov_trace(
 ) -> Trajectory:
     """Integrate from a strictly positive ``s0`` and sample W and dW/dt.
 
-    Raises DomainError if any recorded state leaves the open octant
-    (W is undefined there).
+    ``eq`` and ``s0`` are checked before integrating: ParameterError if
+    ``eq`` is not the inner equilibrium or ``s0`` fails the check of
+    :func:`integrate`, DomainError if a population of ``s0`` is 0 or a
+    recorded state leaves the open octant (W is undefined there).
     """
+    _require_inner(eq)
+    s0 = _check_initial(s0)
     if not (s0.C > 0.0 and s0.I > 0.0 and s0.V > 0.0):
         raise DomainError(f"lyapunov trace needs a strictly positive start, got {s0!r}")
-    traj = integrate(params, s0, opts)
-    return _attach_lyapunov(params, coeffs, eq, traj)
+    return _attach_lyapunov(params, coeffs, eq, integrate(params, s0, opts))

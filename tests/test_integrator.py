@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -14,12 +15,14 @@ from retrodyn import (
     ParameterError,
     State,
     Trajectory,
+    boundary_equilibria,
     inner_equilibrium,
     integrate,
     lyapunov_trace,
     step_rk4,
     w_dot,
 )
+import retrodyn.integrator
 from retrodyn.integrator import _attach_lyapunov, _check_initial
 
 from conftest import sample_params_mild, state_near
@@ -191,16 +194,55 @@ def test_adaptive_holds_equilibrium(p2):
     assert drift < 100 * 1e-8
 
 
+_P2 = ModelParams(a=1, a_I=2, b11=1, b12=0.1, b21=0.1, b22=1, alpha=0.5, m=0.5, k=1, sigma=1)
+_NEG = ModelParams(a=3.0, a_I=1.0, b11=0.5, b12=0.0, b21=0.0, b22=1.0,
+                   alpha=0.0, m=1.0, k=1.0, sigma=1.0)
+_HOT = ModelParams(a=50, a_I=50, b11=1, b12=0.1, b21=0.1, b22=1, alpha=5, m=0.5, k=10, sigma=1)
+
+
 def test_negativity_rejection_shortens_step():
     # far above carrying capacity with a huge step: plain RK4 would dive
     # below zero, so the step must be halved until it stays admissible
-    p = ModelParams(a=3.0, a_I=1.0, b11=0.5, b12=0.0, b21=0.0, b22=1.0,
-                    alpha=0.0, m=1.0, k=1.0, sigma=1.0)
     opts = fixed(2.5, 5.0)
-    traj = integrate(p, State(6.5, 0.0, 0.0), opts)
+    traj = integrate(_NEG, State(6.5, 0.0, 0.0), opts)
     assert traj.times[1] < 2.5
     assert traj.states.min() >= -opts.abs_tol
     assert traj.times[-1] == 5.0
+
+
+# Frozen bits of integrate on configs that between them take every
+# branch of the accept/retry loop.  Any change to a shrink or growth
+# factor, to the rejection order or to the last-step clamp shows here.
+@pytest.mark.parametrize(
+    "params, s0, opts, rows, sha256",
+    [
+        pytest.param(_P2, (1.0, 1.0, 1.0), adaptive(20.0, rel_tol=1e-8, abs_tol=1e-12), 54,
+                     "c88ad39f9b25d21ca7007b9cd1004c8553042dbf11dd481e15928af0cf9ca58d",
+                     id="error-rejection"),
+        pytest.param(_NEG, (6.5, 0.0, 0.0), fixed(2.5, 5.0), 6,
+                     "f827fe1b1bc3b4059c05d7eab144238b083675ee900719e64b46abd51ee06b89",
+                     id="negativity-fixed"),
+        pytest.param(_NEG, (6.5, 0.0, 0.0), adaptive(5.0, dt=2.5), 60,
+                     "78692dfe77862db6e53dc6a89a72efbbb7a929443d610e64a2615d924dd87339",
+                     id="negativity-adaptive"),
+        pytest.param(_P2, (0.0, 0.0, 0.0), adaptive(2.0), 8,
+                     "935e6ecaa4f6252576451e6be7a5b871f22e564b5b2c605fd4484f6993eca19e",
+                     id="zero-error-growth"),
+        pytest.param(_P2, (1.0, 1.0, 1.0), fixed(0.3, 1.0), 5,
+                     "6e4eeac128020a4b2a8be800c6e882c76a96a6b227831dbe2f68fd4a05ac8079",
+                     id="last-step-clamp"),
+        pytest.param(_HOT, (1e3, 1e3, 1e3), fixed(0.5, 1.0), 1124,
+                     "312f93c9c2308bd357cdfbd43dd5ae1c0ea1375a1b583b2d6f88ebb7f8baa4c0",
+                     id="hot-fixed"),
+        pytest.param(_HOT, (1e3, 1e3, 1e3), adaptive(1.0, dt=0.5, rel_tol=1e-3, abs_tol=1e-3), 571,
+                     "f3b03f525e20a0acb11be6fb4531b73936e6c7a8483e5a0b74c56a649159ac5c",
+                     id="hot-adaptive-nonfinite"),
+    ],
+)
+def test_frozen_bits(params, s0, opts, rows, sha256):
+    traj = integrate(params, State(*s0), opts)
+    assert len(traj.times) == rows
+    assert hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest() == sha256
 
 
 def test_zero_state_is_fixed_point(p2):
@@ -317,10 +359,22 @@ def test_trace_slope_matches_wdot(p2):
     assert 2.8 < e1 / e2 < 5.2
 
 
-def test_trace_requires_positive_start(p2):
+def test_trace_requires_positive_start(p2, monkeypatch):
+    # every bad input is rejected before any integration work
+    def no_integration(*args):
+        raise AssertionError("integrate called")
+
+    monkeypatch.setattr(retrodyn.integrator, "integrate", no_integration)
     eq = inner_equilibrium(p2)
+    opts = fixed(0.1, 1.0)
     with pytest.raises(DomainError):
-        lyapunov_trace(p2, ONES, eq, State(1.0, 0.0, 1.0), fixed(0.1, 1.0))
+        lyapunov_trace(p2, ONES, eq, State(1.0, 0.0, 1.0), opts)
+    for bad in ("x", float("nan"), -1.0):
+        with pytest.raises(ParameterError, match="initial C"):
+            lyapunov_trace(p2, ONES, eq, State(bad, 1.0, 1.0), opts)
+    for boundary in boundary_equilibria(p2):
+        with pytest.raises(ParameterError, match="inner equilibrium"):
+            lyapunov_trace(p2, ONES, boundary, State(1.0, 1.0, 1.0), opts)
 
 
 def test_attach_rejects_boundary_states(p2):
