@@ -107,13 +107,12 @@ class Trajectory:
     def write_csv(self, stream: IO[str]):
         """Write samples as CSV with full float precision (%.17g)."""
         traced = self.lyapunov_samples is not None
-        columns = [self.times, self.states]
+        columns = [self.times.tolist(), *self.states.T.tolist()]
         if traced:
-            columns.append(self.lyapunov_samples)
-        table = np.column_stack(columns)
-        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+            columns += self.lyapunov_samples.T.tolist()
+        row = ",".join(["%.17g"] * len(columns)) + "\n"
         stream.write("t,C,I,V,W,Wdot\n" if traced else "t,C,I,V\n")
-        stream.writelines(row % tuple(values) for values in table.tolist())
+        stream.writelines(map(row.__mod__, zip(*columns)))
 
 
 def _rk4(p: ModelParams, C: float, I: float, V: float, dt: float) -> tuple:
@@ -162,10 +161,12 @@ def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Traje
     adaptive = opts.mode is IntegrationMode.ADAPTIVE_RK4
     neg_floor = -opts.abs_tol
 
-    y = (s0.C, s0.I, s0.V)
+    C, I, V = s0.C, s0.I, s0.V
     t = 0.0
     times = [0.0]
-    states = [y]
+    flat = [C, I, V]  # accepted states, row after row
+    max_rows = opts.max_steps + 1
+    isfinite = math.isfinite
 
     while t < t_end:
         remaining = t_end - t
@@ -173,39 +174,39 @@ def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Traje
         while True:  # attempt loop: shrink dt_try until acceptable
             shrink = 0.5  # negativity or a non-finite value
             if adaptive:
-                full = _rk4(params, y[0], y[1], y[2], dt_try)
+                fC, fI, fV = _rk4(params, C, I, V, dt_try)
                 h = 0.5 * dt_try
-                mid = _rk4(params, y[0], y[1], y[2], h)
-                proposal = _rk4(params, mid[0], mid[1], mid[2], h)
-                ok = all(map(math.isfinite, full)) and all(map(math.isfinite, proposal))
+                mC, mI, mV = _rk4(params, C, I, V, h)
+                nC, nI, nV = _rk4(params, mC, mI, mV, h)
+                ok = (isfinite(fC) and isfinite(fI) and isfinite(fV)
+                      and isfinite(nC) and isfinite(nI) and isfinite(nV))
                 if ok:
-                    err = max(abs(proposal[0] - full[0]), abs(proposal[1] - full[1]),
-                              abs(proposal[2] - full[2])) / 15.0
-                    tol = opts.rel_tol * max(abs(y[0]), abs(y[1]), abs(y[2])) + opts.abs_tol
+                    err = max(abs(nC - fC), abs(nI - fI), abs(nV - fV)) / 15.0
+                    tol = opts.rel_tol * max(abs(C), abs(I), abs(V)) + opts.abs_tol
                     factor = _GROW_MAX if err == 0.0 else min(
                         _GROW_MAX, max(_SHRINK_MIN, _SAFETY * (tol / err) ** 0.2))
                     if err > tol:  # factor < _SAFETY here
                         ok, shrink = False, factor
             else:
-                proposal = _rk4(params, y[0], y[1], y[2], dt_try)
-                ok = all(map(math.isfinite, proposal))
-            if ok and min(proposal) >= neg_floor:
+                nC, nI, nV = _rk4(params, C, I, V, dt_try)
+                ok = isfinite(nC) and isfinite(nI) and isfinite(nV)
+            if ok and nC >= neg_floor and nI >= neg_floor and nV >= neg_floor:
                 break
             dt_try = dt_try * shrink
             if dt_try < dt_min:
-                raise IntegrationError(f"step underflow below {dt_min!r} at t={t!r} (state {y!r})")
+                raise IntegrationError(f"step underflow below {dt_min!r} at t={t!r} (state {(C, I, V)!r})")
 
         # every shrink factor is < 1, so only an unshrunk step can reach t_end
-        y = proposal
+        C, I, V = nC, nI, nV
         t = t_end if dt_try >= remaining else t + dt_try
         times.append(t)
-        states.append(y)
-        if len(times) > opts.max_steps + 1:
+        flat += (C, I, V)
+        if len(times) > max_rows:
             raise IntegrationError(f"step budget max_steps={opts.max_steps} exhausted at t={t!r}")
         if adaptive:
             dt = dt_try * factor
 
-    return Trajectory(times=np.array(times), states=np.array(states))
+    return Trajectory(times=np.array(times), states=np.array(flat).reshape(-1, 3))
 
 
 def _attach_lyapunov(
@@ -214,17 +215,19 @@ def _attach_lyapunov(
     eq: Equilibrium,
     traj: Trajectory,
 ) -> Trajectory:
-    # W is defined only at strictly positive populations; eq is the
-    # inner equilibrium, checked by the caller.
+    # eq is the inner equilibrium (checked by the caller).  Rows before the first
+    # non-positive one are sampled before it is reported, so their errors come first.
+    states = traj.states
+    positive = (states > 0.0).all(axis=1)
+    n = len(positive) if positive.all() else int(positive.argmin())
+    C, I, V = states[:n].T
     pt = eq.point
-    samples = []
-    for t, (C, I, V) in zip(traj.times.tolist(), traj.states.tolist()):
-        if not (C > 0.0 and I > 0.0 and V > 0.0):
-            raise DomainError(
-                f"trajectory left the open positive octant at t={t!r}: ({C!r}, {I!r}, {V!r})"
-            )
-        samples.append((_w(coeffs, pt, C, I, V), _w_dot(params, coeffs, pt, C, I, V)))
-    return Trajectory(times=traj.times, states=traj.states, lyapunov_samples=np.array(samples))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, silently, as on floats
+        samples = np.column_stack((_w(coeffs, pt, C, I, V), _w_dot(params, coeffs, pt, C, I, V)))
+    if n < len(positive):
+        t, (C, I, V) = traj.times[n].item(), states[n].tolist()
+        raise DomainError(f"trajectory left the open positive octant at t={t!r}: ({C!r}, {I!r}, {V!r})")
+    return Trajectory(times=traj.times, states=states, lyapunov_samples=samples)
 
 
 def lyapunov_trace(
@@ -235,6 +238,10 @@ def lyapunov_trace(
     opts: IntegrationOptions,
 ) -> Trajectory:
     """Integrate from a strictly positive ``s0`` and sample W and dW/dt.
+
+    W and dW/dt are computed over the whole trajectory at once, with the
+    bits of w_value/w_dot at each row: their logs come from math.log, as
+    np.log differs from it in the last bit on some arguments and hosts.
 
     ``eq`` and ``s0`` are checked before integrating: ParameterError if
     ``eq`` is not the inner equilibrium or ``s0`` fails the check of

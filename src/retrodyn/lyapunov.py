@@ -136,10 +136,18 @@ class Condition4Report:
 
 
 def volterra(s: float) -> float:
-    """v(s) = s - ln(s) - 1; nonnegative on (0, inf), zero only at s = 1."""
-    if not s > 0.0:
-        raise DomainError(f"volterra term needs a positive argument, got {s!r}")
-    return s - math.log(s) - 1.0
+    """v(s) = s - ln(s) - 1; nonnegative on (0, inf), zero only at s = 1.
+
+    A float array is taken element by element, its logs still from
+    math.log (see :func:`retrodyn.integrator.lyapunov_trace`).
+    """
+    vector = isinstance(s, np.ndarray)
+    ok = s > 0.0
+    if not (ok.all() if vector else ok):
+        bad = s[ok.argmin()].item() if vector else s
+        raise DomainError(f"volterra term needs a positive argument, got {bad!r}")
+    log = np.fromiter(map(math.log, s.tolist()), float, len(s)) if vector else math.log(s)
+    return s - log - 1.0
 
 
 def _require_inner(eq: Equilibrium):
@@ -152,8 +160,8 @@ def _require_positive(s: State):
         raise DomainError(f"state must lie in the open positive octant, got {s!r}")
 
 
-# Unchecked kernels on plain floats, shared by w_value/w_dot and the
-# integrator's trace; pt is the inner equilibrium's point.
+# Unchecked kernels on plain floats (w_value/w_dot) or on whole columns
+# (the integrator's trace); pt is the inner equilibrium's point.
 def _w(coeffs, pt, C, I, V):
     return (
         coeffs.A * volterra(C / pt.C)

@@ -110,7 +110,7 @@ class CubicCoeffs:
 
 
 def _rhs(p: ModelParams, C: float, I: float, V: float) -> tuple:
-    # Hot path shared with the integrator; plain floats, no array overhead.
+    # Integrator hot path on plain floats; the Lyapunov trace passes whole columns.
     infection = p.alpha * C * V
     dC = p.a * C * (1.0 - p.b11 * C - p.b12 * I) - infection
     dI = p.a_I * I * (1.0 - p.b21 * C - p.b22 * I) + infection - p.m * I

@@ -21,6 +21,7 @@ from retrodyn import (
     lyapunov_trace,
     step_rk4,
     w_dot,
+    w_value,
 )
 import retrodyn.integrator
 from retrodyn.integrator import _attach_lyapunov, _check_initial
@@ -245,6 +246,26 @@ def test_frozen_bits(params, s0, opts, rows, sha256):
     assert hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest() == sha256
 
 
+# Frozen bits of the W and dW/dt columns of lyapunov_trace, on a fixed
+# and an adaptive run.
+@pytest.mark.parametrize(
+    "params, coeffs, s0, opts, rows, sha256",
+    [
+        pytest.param(_P2, ONES, (1.0, 1.0, 1.0), fixed(0.01, 40.0), 4001,
+                     "464afb8a235ab381255b0a535f49de4b9c4005f85b914ae2d4afc9526dbb893b",
+                     id="fixed"),
+        pytest.param(_P2, LyapunovCoeffs(0.5, 2.0, 1.0), (1.0, 1.0, 1.0),
+                     adaptive(20.0, rel_tol=1e-8, abs_tol=1e-12), 54,
+                     "ada256a961f6eb5224a7084f310f8a0bbc690dce74495fab770a19a56fe6f030",
+                     id="adaptive"),
+    ],
+)
+def test_frozen_trace_bits(params, coeffs, s0, opts, rows, sha256):
+    traj = lyapunov_trace(params, coeffs, inner_equilibrium(params), State(*s0), opts)
+    assert len(traj.times) == rows
+    assert hashlib.sha256(traj.lyapunov_samples.tobytes()).hexdigest() == sha256
+
+
 def test_zero_state_is_fixed_point(p2):
     traj = integrate(p2, State(0.0, 0.0, 0.0), fixed(0.25, 2.0))
     assert np.all(traj.states == 0.0)
@@ -378,8 +399,40 @@ def test_trace_requires_positive_start(p2, monkeypatch):
 
 
 def test_attach_rejects_boundary_states(p2):
+    # the error names the first row that leaves the open octant
     eq = inner_equilibrium(p2)
-    synth = Trajectory(times=np.array([0.0, 1.0]),
-                       states=np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
+    synth = Trajectory(times=np.array([0.0, 1.0, 2.0]),
+                       states=np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [-1.0, 1.0, 1.0]]))
     with pytest.raises(DomainError, match=r"t=1\.0: \(1\.0, 0\.0, 1\.0\)"):
         _attach_lyapunov(p2, ONES, eq, synth)
+    # a ratio V/V^ that underflows to 0 in an earlier row is reported first,
+    # as when the rows were sampled one by one (here V^ = 3.75)
+    q = ModelParams(a=1, a_I=2, b11=0.1, b12=0, b21=0, b22=0.1, alpha=0, m=0.5, k=1, sigma=1)
+    synth = Trajectory(times=np.array([0.0, 1.0, 2.0]),
+                       states=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 5e-324], [1.0, 0.0, 1.0]]))
+    with pytest.raises(DomainError, match=r"volterra term needs a positive argument, got 0\.0$"):
+        _attach_lyapunov(q, ONES, inner_equilibrium(q), synth)
+
+
+def test_trace_matches_scalar_kernels():
+    # W and dW/dt over the whole trajectory carry the bits of w_value and
+    # w_dot at every row: a last-bit difference in a log shows here
+    rng = np.random.default_rng(79)
+    for i in range(24):
+        while (eq := inner_equilibrium(p := sample_params_mild(rng))) is None:
+            pass
+        coeffs = LyapunovCoeffs(*(float(np.exp(rng.uniform(-3.0, 3.0))) for _ in range(3)))
+        s0 = state_near(rng, eq.point, 1.5)
+        opts = fixed(0.01, 20.0) if i % 2 else adaptive(20.0, rel_tol=1e-10, abs_tol=1e-12)
+        traj = lyapunov_trace(p, coeffs, eq, s0, opts)
+        for s, (w, wd) in zip(traj.states.tolist(), traj.lyapunov_samples.tolist()):
+            assert (w, wd) == (w_value(coeffs, eq, State(*s)), w_dot(p, coeffs, eq, State(*s)))
+
+
+def test_trace_overflow_is_silent():
+    # huge weights overflow every sample to (inf, -inf), as on Python
+    # floats, with no warning (the suite turns warnings into errors)
+    q = ModelParams(a=1, a_I=0.8, b11=0.3, b12=0.05, b21=0.05, b22=0.3, alpha=0.5, m=1, k=1.2, sigma=0.5)
+    huge = LyapunovCoeffs(A=1e308, B=1.0, D=1e308)
+    traj = lyapunov_trace(q, huge, inner_equilibrium(q), State(20.0, 0.01, 0.01), fixed(0.25, 1.0))
+    assert traj.lyapunov_samples.tolist() == [[math.inf, -math.inf]] * 5
