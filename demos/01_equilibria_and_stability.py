@@ -10,6 +10,7 @@ from retrodyn import (
     all_equilibria,
     classify_equilibrium,
     inner_equilibrium,
+    residual,
 )
 
 SETS = {
@@ -33,7 +34,7 @@ def main():
         for eq in all_equilibria(params):
             print(
                 "  %-16s C=%-12.6g I=%-12.6g V=%-12.6g residual=%.2e"
-                % (eq.kind.value, eq.point.C, eq.point.I, eq.point.V, eq.residual)
+                % (eq.kind.value, eq.point.C, eq.point.I, eq.point.V, residual(params, eq.point))
             )
         eq = inner_equilibrium(params)
         if eq is None:

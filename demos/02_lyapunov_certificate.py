@@ -26,7 +26,6 @@ from retrodyn import (
     inner_equilibrium,
     omega_at,
     search_coeffs,
-    sylvester_minors,
     w_dot,
 )
 
@@ -66,9 +65,9 @@ def main():
             print("  weight search: no positive definite form on the grid")
         else:
             coeffs, form = hit
-            d1, d2, d3 = sylvester_minors(form)
             print("  weight search: A=%.6g B=%.6g D=%.6g" % (coeffs.A, coeffs.B, coeffs.D))
-            print("  leading minors at the equilibrium: %.4g, %.4g, %.4g" % (d1, d2, d3))
+            print("  leading minors at the equilibrium: %.4g, %.4g, %.4g"
+                  % (form.delta1, form.delta2, form.delta3))
 
         for variant in Condition4Variant:
             r = condition4(params, eq, variant)

@@ -31,7 +31,6 @@ from .lyapunov import (
     condition4,
     omega_at,
     search_coeffs,
-    sylvester_minors,
     volterra,
     w_dot,
     w_value,
@@ -87,7 +86,6 @@ __all__ = [
     "search_coeffs",
     "stability_map",
     "step_rk4",
-    "sylvester_minors",
     "vector_field",
     "volterra",
     "w_dot",

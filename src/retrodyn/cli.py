@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .equilibria import all_equilibria, inner_equilibrium
+from .equilibria import all_equilibria, inner_equilibrium, residual
 from .errors import DomainError, IntegrationError, ParameterError
 from .integrator import IntegrationMode, IntegrationOptions, _check_initial, integrate, lyapunov_trace
 from .lyapunov import Condition4Variant, LyapunovCoeffs, condition4, search_coeffs
@@ -131,20 +131,20 @@ def _print_json(record: dict):
     print(json.dumps(_finite_or_null(record), allow_nan=False))
 
 
-def _equilibrium_record(eq) -> dict:
+def _equilibrium_record(params: ModelParams, eq) -> dict:
     return {
         "kind": eq.kind.value,
         "C": eq.point.C,
         "I": eq.point.I,
         "V": eq.point.V,
-        "residual": eq.residual,
+        "residual": residual(params, eq.point),
     }
 
 
 def cmd_equilibria(config: RunConfig, args) -> int:
     eqs = all_equilibria(config.params)
     for eq in eqs:
-        _print_json(_equilibrium_record(eq))
+        _print_json(_equilibrium_record(config.params, eq))
     has_inner = any(eq.kind.value == "inner" for eq in eqs)
     return 0 if has_inner else 1
 
@@ -179,7 +179,7 @@ def cmd_stability(config: RunConfig, args) -> int:
         )
     _print_json(
         {
-            "equilibrium": _equilibrium_record(eq),
+            "equilibrium": _equilibrium_record(config.params, eq),
             "routh_hurwitz": {
                 "p": report.cubic.p,
                 "q": report.cubic.q,

@@ -40,7 +40,6 @@ class EquilibriumKind(enum.Enum):
 class Equilibrium:
     point: State
     kind: EquilibriumKind
-    residual: float
 
 
 def residual(params: ModelParams, point: State) -> float:
@@ -49,8 +48,11 @@ def residual(params: ModelParams, point: State) -> float:
     return max(abs(d.dC), abs(d.dI), abs(d.dV))
 
 
-def _make(params: ModelParams, point: State, kind: EquilibriumKind) -> Equilibrium:
-    return Equilibrium(point=point, kind=kind, residual=residual(params, point))
+def _over_product(x: float, u: float, v: float) -> float:
+    """x / (u*v) for positive u and v, divided in two steps when the
+    product underflows to 0."""
+    uv = u * v
+    return x / uv if uv != 0.0 else x / u / v
 
 
 def inner_equilibrium(params: ModelParams) -> Optional[Equilibrium]:
@@ -63,7 +65,7 @@ def inner_equilibrium(params: ModelParams) -> Optional[Equilibrium]:
     """
     p = params
     a11 = p.b11
-    a12 = p.b12 + p.alpha * p.k * p.m / (p.a * p.sigma)
+    a12 = p.b12 + _over_product(p.alpha * p.k * p.m, p.a, p.sigma)
     a21 = p.a_I * p.b21 - p.alpha * p.k * p.m / p.sigma
     a22 = p.a_I * p.b22
     r1 = 1.0
@@ -79,7 +81,7 @@ def inner_equilibrium(params: ModelParams) -> Optional[Equilibrium]:
     V = p.k * p.m * I / p.sigma
     if not (C > POSITIVITY_FLOOR and I > POSITIVITY_FLOOR and V > POSITIVITY_FLOOR):
         return None
-    return _make(params, State(C, I, V), EquilibriumKind.INNER)
+    return Equilibrium(State(C, I, V), EquilibriumKind.INNER)
 
 
 def boundary_equilibria(params: ModelParams) -> list:
@@ -91,13 +93,13 @@ def boundary_equilibria(params: ModelParams) -> list:
     """
     p = params
     out = [
-        _make(params, State(0.0, 0.0, 0.0), EquilibriumKind.EXTINCTION),
-        _make(params, State(1.0 / p.b11, 0.0, 0.0), EquilibriumKind.UNINFECTED_ONLY),
+        Equilibrium(State(0.0, 0.0, 0.0), EquilibriumKind.EXTINCTION),
+        Equilibrium(State(1.0 / p.b11, 0.0, 0.0), EquilibriumKind.UNINFECTED_ONLY),
     ]
     if p.a_I > p.m:
-        I = (p.a_I - p.m) / (p.a_I * p.b22)
+        I = _over_product(p.a_I - p.m, p.a_I, p.b22)
         V = p.k * p.m * I / p.sigma
-        out.append(_make(params, State(0.0, I, V), EquilibriumKind.INFECTED_ONLY))
+        out.append(Equilibrium(State(0.0, I, V), EquilibriumKind.INFECTED_ONLY))
     return out
 
 

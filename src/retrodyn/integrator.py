@@ -39,7 +39,7 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .errors import DomainError, IntegrationError, ParameterError, _checked_float
-from .lyapunov import LyapunovCoeffs, _require_inner, _w, _w_dot
+from .lyapunov import LyapunovCoeffs, _require_inner, _require_positive, _w, _w_dot
 from .model import ModelParams, State, _rhs
 
 # Growth/shrink clamps for the adaptive step controller.
@@ -250,6 +250,5 @@ def lyapunov_trace(
     """
     _require_inner(eq)
     s0 = _check_initial(s0)
-    if not (s0.C > 0.0 and s0.I > 0.0 and s0.V > 0.0):
-        raise DomainError(f"lyapunov trace needs a strictly positive start, got {s0!r}")
+    _require_positive(s0)
     return _attach_lyapunov(params, coeffs, eq, integrate(params, s0, opts))

@@ -234,11 +234,6 @@ def omega_at(params: ModelParams, coeffs: LyapunovCoeffs, eq: Equilibrium, s: St
     )
 
 
-def sylvester_minors(form: OmegaForm) -> Tuple[float, float, float]:
-    """Leading principal minors (delta1, delta2, delta3) of the form."""
-    return (form.delta1, form.delta2, form.delta3)
-
-
 def condition4(
     params: ModelParams,
     eq: Equilibrium,
@@ -268,7 +263,15 @@ def _condition4_sides(params: ModelParams, eq: Equilibrium) -> Tuple[float, floa
     bracket_C = p.a * p.b11 - (1.0 / Ch) * p.a * (1.0 - p.b11 * Ch - p.b12 * Ih)
     lhs = (bracket_I / Ih) * (bracket_C / Ch)
     cross = p.a * p.b12 / Ch + p.b21 / Ih
-    return lhs, 0.25 * (cross - Vh * Vh) ** 2, 0.25 * (cross - p.alpha * Vh) ** 2
+    return lhs, 0.25 * _square(cross - Vh * Vh), 0.25 * _square(cross - p.alpha * Vh)
+
+
+def _square(x: float) -> float:
+    # A float power raises OverflowError where a product would give inf.
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def search_coeffs(params: ModelParams, eq: Equilibrium) -> Optional[Tuple[LyapunovCoeffs, OmegaForm]]:

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .equilibria import inner_equilibrium
 from .errors import ParameterError, _checked_float
 from .lyapunov import _condition4_sides, _grid_has_definite
@@ -113,15 +111,16 @@ def evaluate_cell(base: ModelParams, alpha: float, k: float) -> SweepCell:
     return SweepCell(True, report.verdict, definite, lhs > rhs_as_written, lhs > rhs_corrected)
 
 
-def _anchored_rectangle(stable: np.ndarray) -> Optional[Tuple[int, int]]:
-    """Largest-area rectangle of True anchored at [0, 0].
+def _anchored_rectangle(stable) -> Optional[Tuple[int, int]]:
+    """Largest-area rectangle of True anchored at [0, 0] of a 2-D grid
+    of flags (nested lists or a boolean array).
 
     Returns the far-corner indices (i, j), or None when the anchor cell
     itself is False.  Area ties resolve toward the larger alpha extent.
     """
-    if not stable[0, 0]:
+    if not stable[0][0]:
         return None
-    n_alpha, n_k = stable.shape
+    n_alpha, n_k = len(stable), len(stable[0])
     best = None
     best_area = 0
     min_run = n_k
@@ -150,11 +149,7 @@ def stability_map(grid: SweepGrid, max_workers: Optional[int] = None) -> SweepRe
     alphas, ks = grid.alpha_values, grid.k_values
     cells = [[evaluate_cell(grid.base, alpha, k) for k in ks] for alpha in alphas]
 
-    stable = np.array(
-        [[c.inner_exists and c.rh_verdict is Verdict.STABLE for c in row] for row in cells],
-        dtype=bool,
-    )
-    corner = _anchored_rectangle(stable)
+    corner = _anchored_rectangle([[c.rh_verdict is Verdict.STABLE for c in row] for row in cells])
     if corner is None:
         alpha0 = k0 = None
     else:

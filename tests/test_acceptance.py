@@ -26,10 +26,10 @@ from retrodyn import (
     integrate,
     lyapunov_trace,
     omega_at,
+    residual,
     routh_hurwitz_cubic,
     search_coeffs,
     stability_map,
-    sylvester_minors,
     w_dot,
 )
 
@@ -75,7 +75,7 @@ def test_01_equilibrium_correctness():
         if eq is None:
             continue
         found += 1
-        worst = max(worst, eq.residual)
+        worst = max(worst, residual(p, eq.point))
     eq1 = inner_equilibrium(P1)
     hand_ok = (
         eq1 is not None
@@ -212,7 +212,7 @@ def test_05_no_definite_form_at_unstable_cells():
                 if min(rep.margins) >= -1e-8:
                     continue  # not unstable beyond the guard band
                 hit = search_coeffs(p, eq)
-                if hit is not None and min(sylvester_minors(hit[1])) > 1e-10:
+                if hit is not None and min(hit[1].delta1, hit[1].delta2, hit[1].delta3) > 1e-10:
                     contradictions += 1
 
     for name in FAMILIES:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -262,6 +263,29 @@ def test_nan_inner_equilibrium_is_absent(tmp_path, capsys):
     assert "no coexistence equilibrium" in err
 
 
+_TINY_PRODUCTS = {"a": 3e-188, "a_I": 5.98, "b11": 9.1, "b12": 4.08, "b21": 1.47, "b22": 1.22,
+                  "alpha": 3.67, "m": 4.42, "k": 4.66, "sigma": 1.5e-295}
+
+
+@pytest.mark.parametrize(
+    "params, command, code",
+    [
+        (dict(P2, a=1e308), "stability", 0),
+        (dict(P2, a=1e308), "sweep", 0),
+        (_TINY_PRODUCTS, "equilibria", 1),
+        (_TINY_PRODUCTS, "stability", 1),
+        (_TINY_PRODUCTS, "sweep", 0),
+        (dict(P2, a_I=1e-200, b22=1e-200, m=1e-201), "equilibria", 1),
+    ],
+)
+def test_extreme_rates_answer(tmp_path, capsys, params, command, code):
+    # a squared term past the float range (a = 1e308) and products that
+    # underflow to 0 are answers, not crashes with exit 1
+    sweep = {"alpha_values": [params["alpha"]], "k_values": [params["k"]]}
+    cfg = write_config(tmp_path, {"params": params, "sweep": sweep})
+    assert run_cli(["--config", cfg, command], capsys)[0] == code
+
+
 def test_stability_no_inner_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path, {"params": P3})
     code, out, err = run_cli(["--config", cfg, "stability"], capsys)
@@ -369,3 +393,45 @@ def test_entry_point_wiring(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout.strip().split("\n")[0])["kind"] == "inner"
+
+
+# P2 with a, b12 and b22 changed: this grid holds all four cell classes
+# (no inner, Stable with and without a definite form, Unstable) and a
+# stable rectangle, so the sweep also writes its corner comment.
+_SWEEP_BASE = dict(P2, a=44, b12=0.42, b22=69)
+_SWEEP_AXES = {"alpha_values": [0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0],
+               "k_values": [0.01, 0.1, 1.0, 10.0, 100.0, 1000.0]}
+_START = {"C": 1.5, "I": 0.2, "V": 0.7}
+_FIXED = {"t_end": 3.0, "dt": 0.125}
+_ADAPTIVE = {"t_end": 20.0, "dt": 0.5, "mode": "adaptive", "rel_tol": 1e-8, "abs_tol": 1e-10}
+
+
+@pytest.mark.parametrize(
+    "payload, argv, digest",
+    [
+        ({"params": P2}, ["equilibria"],
+         "293c9630c4fc382273777dd126485b7ae5e3545384f7201540ee7a69c30377f4"),
+        ({"params": P2, "initial_state": _START, "integration": _FIXED}, ["simulate"],
+         "e90f1ab5e13ddbc3f26f8546beb9e37afd55c6bc49b18411fd981e5c34ba6f9a"),
+        ({"params": P2, "initial_state": _START, "integration": _ADAPTIVE}, ["simulate"],
+         "50ea5ca00e31524727203f586d190c6c3c6759ccec4f7a91dc5667ee3ca9d1f6"),
+        ({"params": P2}, ["stability"],
+         "329fa72eb3e7675fc348885f7e176909b742af602fa6000468c86fbda84d6cc6"),
+        ({"params": P2}, ["stability", "--variant", "as-written"],
+         "0fac7aa422292d2d9cea0f61e3f4df7e0413a1d7da531de2827daf388385ad37"),
+        ({"params": _SWEEP_BASE, "sweep": _SWEEP_AXES}, ["sweep"],
+         "6da7acd865420473ec6b8461bac22171fff4d3d4d01fc4e4830a255ad0e35653"),
+        ({"params": P2, "initial_state": _START, "integration": _FIXED,
+          "lyapunov": {"A": 1.0, "B": 2.0, "D": 0.5}}, ["lyapunov"],
+         "200fd1d565aeb41d015c87eac8c5117890233461229bbc50c8651370b31e244a"),
+    ],
+    ids=["equilibria", "simulate-fixed", "simulate-adaptive", "stability-corrected",
+         "stability-as-written", "sweep", "lyapunov"],
+)
+def test_frozen_stdout(tmp_path, capsys, payload, argv, digest):
+    # Every byte the CLI prints is part of its contract; a change to any
+    # of these digests must be deliberate.
+    cfg = write_config(tmp_path, payload)
+    got_code, out, err = run_cli(["--config", cfg, *argv], capsys)
+    assert (got_code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -32,8 +32,9 @@ def test_demo_runs(demo, tmp_path):
     shutil.copy(demo, script)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          env=env, cwd=tmp_path)
+    # -W error: the child does not inherit pytest's filterwarnings setting.
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     for name, header in CSV_OUTPUTS.get(demo.name, {}).items():
         text = (tmp_path / "out" / name).read_text()

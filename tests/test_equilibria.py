@@ -24,7 +24,7 @@ def test_inner_p1_exact(p1):
     assert eq is not None
     assert eq.kind is EquilibriumKind.INNER
     assert (eq.point.C, eq.point.I, eq.point.V) == (1.0, 0.5, 0.25)
-    assert eq.residual == 0.0
+    assert residual(p1, eq.point) == 0.0
 
 
 def test_inner_p2_frozen(p2):
@@ -33,7 +33,7 @@ def test_inner_p2_frozen(p2):
     assert eq.point.C == pytest.approx(P2_INNER[0], rel=1e-13)
     assert eq.point.I == pytest.approx(P2_INNER[1], rel=1e-13)
     assert eq.point.V == pytest.approx(P2_INNER[2], rel=1e-13)
-    assert eq.residual < 1e-12
+    assert residual(p2, eq.point) < 1e-12
 
 
 def test_inner_p3_absent(p3):
@@ -99,6 +99,21 @@ def test_singular_reduced_system_absent():
     assert inner_equilibrium(p) is None
 
 
+def test_underflowing_divisor():
+    # a*sigma underflows to 0: a12 overflows to inf instead of raising,
+    # and the NaN coordinates that follow read as no coexistence state
+    p = ModelParams(a=3e-188, a_I=5.98, b11=9.1, b12=4.08, b21=1.47, b22=1.22,
+                    alpha=3.67, m=4.42, k=4.66, sigma=1.5e-295)
+    assert inner_equilibrium(p) is None
+    # a_I*b22 underflows to 0, yet I = (a_I - m)/(a_I*b22) is finite
+    p = ModelParams(a=1, a_I=1e-200, b11=1, b12=0.1, b21=0.1, b22=1e-200,
+                    alpha=0.5, m=1e-201, k=1, sigma=1)
+    infected = boundary_equilibria(p)[2]
+    assert infected.kind is EquilibriumKind.INFECTED_ONLY
+    assert infected.point.I == pytest.approx(9e199, rel=1e-15)
+    assert residual(p, infected.point) < 1e-15
+
+
 def test_random_roundtrip_residuals():
     rng = np.random.default_rng(31)
     found = 0
@@ -108,10 +123,11 @@ def test_random_roundtrip_residuals():
         if eq is None:
             continue
         found += 1
-        assert eq.residual < 1e-10
+        res = residual(p, eq.point)
+        assert res < 1e-10
         assert min(eq.point.C, eq.point.I, eq.point.V) > 1e-12
         peak = max(abs(eq.point.C), abs(eq.point.I), abs(eq.point.V))
-        assert eq.residual <= 1e-10 * (1.0 + peak)
+        assert res <= 1e-10 * (1.0 + peak)
     assert found > 500  # the sampler is supposed to hit coexistence often
 
 

@@ -17,7 +17,6 @@ from retrodyn import (
     inner_equilibrium,
     omega_at,
     search_coeffs,
-    sylvester_minors,
     vector_field,
     volterra,
     w_dot,
@@ -185,10 +184,14 @@ def _raw_form(w11, w22, w33, w12, w13, w23):
     )
 
 
+def _minors_of(form):
+    return (form.delta1, form.delta2, form.delta3)
+
+
 def test_minor_hand_cases():
-    assert sylvester_minors(_raw_form(1, 1, 1, 0, 0, 0)) == (1.0, 1.0, 1.0)
-    assert sylvester_minors(_raw_form(1, 2, 3, 0, 0, 0)) == (1.0, 2.0, 6.0)
-    assert sylvester_minors(_raw_form(1, 1, 1, 2, 0, 0)) == (1.0, -3.0, -3.0)
+    assert _minors_of(_raw_form(1, 1, 1, 0, 0, 0)) == (1.0, 1.0, 1.0)
+    assert _minors_of(_raw_form(1, 2, 3, 0, 0, 0)) == (1.0, 2.0, 6.0)
+    assert _minors_of(_raw_form(1, 1, 1, 2, 0, 0)) == (1.0, -3.0, -3.0)
     assert _raw_form(1, 2, 3, 0, 0, 0).positive_definite
     assert not _raw_form(1, 1, 1, 2, 0, 0).positive_definite
 
@@ -249,6 +252,16 @@ def test_condition4_is_not_necessary(p_unstable):
         assert condition4(p_unstable, eq, variant).holds
 
 
+def test_condition4_rhs_overflows_to_inf(p2):
+    # a*b12/C^ is finite but its square is not; a float power raises
+    # OverflowError there, where the rhs must read inf and fail to hold
+    p = p2.replace(a=1e308)
+    eq = inner_equilibrium(p)
+    for variant in Condition4Variant:
+        report = condition4(p, eq, variant)
+        assert report.rhs == math.inf and not report.holds
+
+
 def test_search_p2_frozen(p2):
     eq = inner_equilibrium(p2)
     hit = search_coeffs(p2, eq)
@@ -258,7 +271,7 @@ def test_search_p2_frozen(p2):
     assert coeffs.B == pytest.approx(P2_SEARCH_B, rel=1e-12)
     assert coeffs.D == 1.0
     assert form.positive_definite
-    got = sylvester_minors(form)
+    got = _minors_of(form)
     for g, want in zip(got, P2_SEARCH_MINORS):
         assert g == pytest.approx(want, rel=1e-12)
 

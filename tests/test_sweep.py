@@ -136,7 +136,7 @@ def test_rectangle_random_oracle():
     for _ in range(300):
         shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
         stable = rng.random(shape) < 0.7
-        assert _anchored_rectangle(stable) == _brute_force_rectangle(stable)
+        assert _anchored_rectangle(stable.tolist()) == _brute_force_rectangle(stable)
 
 
 def test_rectangle_requires_anchor():
