@@ -48,11 +48,40 @@ def residual(params: ModelParams, point: State) -> float:
     return max(abs(d.dC), abs(d.dI), abs(d.dV))
 
 
-def _over_product(x: float, u: float, v: float) -> float:
-    """x / (u*v) for positive u and v, divided in two steps when the
-    product underflows to 0."""
-    uv = u * v
-    return x / uv if uv != 0.0 else x / u / v
+def _over_product(x, u, v, w=1.0):
+    """x / (u*v*w) for positive scalars u, v and w, divided one factor
+    at a time when the product underflows to 0.  x may be an array.
+    The default w = 1.0 changes no bit of x / (u*v)."""
+    uvw = u * v * w
+    return x / uvw if uvw != 0.0 else x / u / v / w
+
+
+# Kernels of inner_equilibrium.  alpha and k may be floats or
+# broadcastable arrays (a whole sweep grid), with the same bits in each
+# element; the other parameters come from p.  On arrays a caller
+# ignores floating-point errors and masks the cells, where on floats
+# inner_equilibrium returns early.
+def _reduced_system(p: ModelParams, alpha, k):
+    """The reduced 2x2 system as (a11, a12, a21, a22, det), and whether
+    it counts as singular."""
+    akm = alpha * k * p.m
+    a11 = p.b11
+    a12 = p.b12 + _over_product(akm, p.a, p.sigma)
+    a21 = p.a_I * p.b21 - akm / p.sigma
+    a22 = p.a_I * p.b22
+    det = a11 * a22 - a12 * a21
+    scale = abs(a11 * a22) + abs(a12 * a21)
+    return (a11, a12, a21, a22, det), (scale == 0.0) | (abs(det) < SINGULAR_RTOL * scale)
+
+
+def _cramer_solution(p: ModelParams, k, a11, a12, a21, a22, det):
+    """(C, I, V) of a nonsingular reduced system, and whether all
+    three lie above POSITIVITY_FLOOR."""
+    r2 = p.a_I - p.m  # the right-hand side is (1, r2)
+    C = (a22 - a12 * r2) / det
+    I = (a11 * r2 - a21) / det
+    V = k * p.m * I / p.sigma
+    return C, I, V, (C > POSITIVITY_FLOOR) & (I > POSITIVITY_FLOOR) & (V > POSITIVITY_FLOOR)
 
 
 def inner_equilibrium(params: ModelParams) -> Optional[Equilibrium]:
@@ -63,23 +92,11 @@ def inner_equilibrium(params: ModelParams) -> Optional[Equilibrium]:
     (relative determinant below ``SINGULAR_RTOL``) or when any
     coordinate is not above ``POSITIVITY_FLOOR`` (NaN included).
     """
-    p = params
-    a11 = p.b11
-    a12 = p.b12 + _over_product(p.alpha * p.k * p.m, p.a, p.sigma)
-    a21 = p.a_I * p.b21 - p.alpha * p.k * p.m / p.sigma
-    a22 = p.a_I * p.b22
-    r1 = 1.0
-    r2 = p.a_I - p.m
-
-    det = a11 * a22 - a12 * a21
-    scale = abs(a11 * a22) + abs(a12 * a21)
-    if scale == 0.0 or abs(det) < SINGULAR_RTOL * scale:
+    system, singular = _reduced_system(params, params.alpha, params.k)
+    if singular:
         return None
-
-    C = (r1 * a22 - a12 * r2) / det
-    I = (a11 * r2 - a21 * r1) / det
-    V = p.k * p.m * I / p.sigma
-    if not (C > POSITIVITY_FLOOR and I > POSITIVITY_FLOOR and V > POSITIVITY_FLOOR):
+    C, I, V, positive = _cramer_solution(params, params.k, *system)
+    if not positive:
         return None
     return Equilibrium(State(C, I, V), EquilibriumKind.INNER)
 

@@ -18,14 +18,17 @@ a shortened step.  A non-finite value is not fatal: IntegrationError is
 raised only when the step drops below 1e-12 * t_end or the step budget
 is exhausted.
 
-Empirical cap: trajectories from nonnegative initial data stay below
+Bound: the exact solution from nonnegative initial data stays in a
+box set by the parameters and the start.  With N = C + I,
+r = max(a, a_I) and q = min(a*b11, a_I*b22), the infection terms cancel
+in dN/dt, and the cross terms and -m*I are nonpositive, so
 
-    10 * (max(s0) + 1/min(b11, b22) + k*m/(sigma*min(b11, b22)))
+    dN/dt <= r*N - q*(C^2 + I^2) <= r*N - (q/2)*N^2.
 
-in every coordinate.  This is an engineering bound used by the test
-suite (the dynamics confine solutions, but no sharp invariant region
-is computed here); it is generous against the logistic carrying
-capacities and the virus balance level k*m*I/sigma.
+Hence N <= Nbar = max(N0, 2r/q), C <= max(C0, 1/b11) (from
+dC/dt <= a*C*(1 - b11*C)) and V <= max(V0, k*m*Nbar/sigma) (from
+dV/dt <= k*m*Nbar - sigma*V).  The test suite checks RK4 output against
+these bounds with a relative allowance of 1e-9 for the step error.
 """
 
 from __future__ import annotations

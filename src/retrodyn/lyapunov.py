@@ -37,7 +37,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .equilibria import Equilibrium, EquilibriumKind
+from .equilibria import Equilibrium, EquilibriumKind, _over_product
 from .errors import DomainError, ParameterError, _checked_float
 from .model import ModelParams, State, _rhs
 
@@ -195,16 +195,18 @@ def w_dot(params: ModelParams, coeffs: LyapunovCoeffs, eq: Equilibrium, s: State
 
 def _omega_entries(params, A, B, D, eq_point, at_point):
     # Shared by the scalar and the vectorized (grid search) callers:
-    # A, B, D may be floats or broadcastable arrays.
+    # A, B, D may be floats or broadcastable arrays; the points are
+    # floats, and a product of coordinates that underflows to 0 is
+    # divided by one factor at a time.
     p = params
     Ch, Ih, Vh = eq_point
     C, I, V = at_point
-    w11 = D * p.sigma / (V * Vh)
-    w22 = B * (p.a_I * p.b22 / Ih + p.alpha * Ch * Vh / (I * Ih * Ih))
+    w11 = _over_product(D * p.sigma, V, Vh)
+    w22 = B * (p.a_I * p.b22 / Ih + _over_product(p.alpha * Ch * Vh, I, Ih, Ih))
     w33 = A * (p.a * p.b11 / Ch)
-    w12 = -0.5 * (B * p.alpha * Ch / (I * Ih) + D * p.k * p.m / (V * Vh))
+    w12 = -0.5 * (_over_product(B * p.alpha * Ch, I, Ih) + _over_product(D * p.k * p.m, V, Vh))
     w13 = 0.5 * A * p.alpha / Ch
-    w23 = 0.5 * (A * p.a * p.b12 / Ch + B * p.a_I * p.b21 / Ih - B * p.alpha * V / (I * Ih))
+    w23 = 0.5 * (A * p.a * p.b12 / Ch + B * p.a_I * p.b21 / Ih - _over_product(B * p.alpha * V, I, Ih))
     return w11, w22, w33, w12, w13, w23
 
 

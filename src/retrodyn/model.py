@@ -124,30 +124,46 @@ def vector_field(params: ModelParams, s: State) -> Derivative:
     return Derivative(dC, dI, dV)
 
 
+def _jacobian_entries(p: ModelParams, alpha, k, C, I, V) -> tuple:
+    # Row-major entries of the Jacobian; alpha, k and the state may be
+    # floats or broadcastable arrays (a whole sweep grid).
+    return (
+        p.a * (1.0 - 2.0 * p.b11 * C - p.b12 * I) - alpha * V,
+        -p.a * p.b12 * C,
+        -alpha * C,
+        -p.a_I * p.b21 * I + alpha * V,
+        p.a_I * (1.0 - p.b21 * C - 2.0 * p.b22 * I) - p.m,
+        alpha * C,
+        0.0,
+        k * p.m,
+        -p.sigma,
+    )
+
+
 def jacobian(params: ModelParams, s: State) -> np.ndarray:
     """Jacobian matrix of the vector field at ``s``, ordered (C, I, V).
 
     Returns:
         (3, 3) float array J with J[i][j] = d f_i / d s_j.
     """
-    p = params
-    C, I, V = s.C, s.I, s.V
-    return np.array(
-        [
-            [
-                p.a * (1.0 - 2.0 * p.b11 * C - p.b12 * I) - p.alpha * V,
-                -p.a * p.b12 * C,
-                -p.alpha * C,
-            ],
-            [
-                -p.a_I * p.b21 * I + p.alpha * V,
-                p.a_I * (1.0 - p.b21 * C - 2.0 * p.b22 * I) - p.m,
-                p.alpha * C,
-            ],
-            [0.0, p.k * p.m, -p.sigma],
-        ],
-        dtype=float,
+    entries = _jacobian_entries(params, params.alpha, params.k, s.C, s.I, s.V)
+    return np.array(entries, dtype=float).reshape(3, 3)
+
+
+def _cubic_coeffs(j00, j01, j02, j10, j11, j12, j20, j21, j22) -> tuple:
+    # (p, q, r) of char_cubic from the row-major entries, floats or arrays.
+    p = -(j00 + j11 + j22)
+    q = (
+        (j11 * j22 - j12 * j21)
+        + (j00 * j22 - j02 * j20)
+        + (j00 * j11 - j01 * j10)
     )
+    det = (
+        j00 * (j11 * j22 - j12 * j21)
+        - j01 * (j10 * j22 - j12 * j20)
+        + j02 * (j10 * j21 - j11 * j20)
+    )
+    return p, q, -det
 
 
 def char_cubic(J: np.ndarray) -> CubicCoeffs:
@@ -168,16 +184,5 @@ def char_cubic(J: np.ndarray) -> CubicCoeffs:
         raise ParameterError(f"expected a 3x3 matrix, got shape {J.shape}")
     # Python floats: the same operations as on numpy scalars, without
     # their per-operation cost or their overflow warnings.
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J.tolist()
-    p = -(j00 + j11 + j22)
-    q = (
-        (j11 * j22 - j12 * j21)
-        + (j00 * j22 - j02 * j20)
-        + (j00 * j11 - j01 * j10)
-    )
-    det = (
-        j00 * (j11 * j22 - j12 * j21)
-        - j01 * (j10 * j22 - j12 * j20)
-        + j02 * (j10 * j21 - j11 * j20)
-    )
-    return CubicCoeffs(p=p, q=q, r=-det)
+    p, q, r = _cubic_coeffs(*J.ravel().tolist())
+    return CubicCoeffs(p=p, q=q, r=r)

@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 
 from .equilibria import Equilibrium
-from .model import CubicCoeffs, ModelParams, char_cubic, jacobian
+from .model import CubicCoeffs, ModelParams, _cubic_coeffs, _jacobian_entries, char_cubic, jacobian
 
 MARGINAL_TOL = 1e-12
 
@@ -35,18 +35,35 @@ class StabilityReport:
     margins: tuple  # (p, r, p*q - r), each positive when stable
 
 
+def _hurwitz(p, q, r) -> tuple:
+    """Hurwitz margins with the Unstable and Stable flags; p, q and r
+    may be floats or arrays (the flags then are boolean arrays)."""
+    margins = (p, r, p * q - r)
+    m0, m1, m2 = margins
+    unstable = (m0 < -MARGINAL_TOL) | (m1 < -MARGINAL_TOL) | (m2 < -MARGINAL_TOL)
+    stable = (m0 > MARGINAL_TOL) & (m1 > MARGINAL_TOL) & (m2 > MARGINAL_TOL)
+    return margins, unstable, stable
+
+
+def _verdict(unstable: bool, stable: bool) -> Verdict:
+    return Verdict.UNSTABLE if unstable else Verdict.STABLE if stable else Verdict.MARGINAL
+
+
 def routh_hurwitz_cubic(cubic: CubicCoeffs) -> StabilityReport:
     """Classify a monic cubic by the sign pattern of its Hurwitz margins."""
-    margins = (cubic.p, cubic.r, cubic.p * cubic.q - cubic.r)
-    if any(m < -MARGINAL_TOL for m in margins):
-        verdict = Verdict.UNSTABLE
-    elif all(m > MARGINAL_TOL for m in margins):
-        verdict = Verdict.STABLE
-    else:
-        verdict = Verdict.MARGINAL
-    return StabilityReport(cubic=cubic, verdict=verdict, margins=margins)
+    margins, unstable, stable = _hurwitz(cubic.p, cubic.q, cubic.r)
+    return StabilityReport(cubic=cubic, verdict=_verdict(unstable, stable), margins=margins)
 
 
 def classify_equilibrium(params: ModelParams, eq: Equilibrium) -> StabilityReport:
     """Routh-Hurwitz verdict for the linearization at an equilibrium."""
     return routh_hurwitz_cubic(char_cubic(jacobian(params, eq.point)))
+
+
+def _equilibrium_verdict(params: ModelParams, eq: Equilibrium) -> Verdict:
+    # classify_equilibrium(params, eq).verdict from the same kernels on
+    # floats, without the matrix and the two reports the sweep discards.
+    s = eq.point
+    cubic = _cubic_coeffs(*_jacobian_entries(params, params.alpha, params.k, s.C, s.I, s.V))
+    _, unstable, stable = _hurwitz(*cubic)
+    return _verdict(unstable, stable)

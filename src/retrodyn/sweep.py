@@ -3,12 +3,18 @@
 Every grid cell re-solves the model at (alpha, k) with the remaining
 parameters taken from a base set, then records whether the coexistence
 equilibrium exists and what the local and Lyapunov diagnostics say
-about it.  Each cell is pure-Python work, so the map is one nested
-loop over the axes.  A cell's ``sylvester_pd`` asks whether the weight
-grid of ``search_coeffs`` holds a definite form; the sweep answers it
-on the same 41x41 grid through the algebra of Omega (closed-form
-intervals, then an exact check of the grid points inside them), with
-answers identical to ``search_coeffs(...) is not None``.
+about it.  The map is one nested loop of ``evaluate_cell`` calls on
+Python floats.  A cell's equilibrium, Jacobian, characteristic cubic
+and Routh-Hurwitz verdict come from kernels that take arrays of
+(alpha, k) as well, with the same bits, so these columns can move to
+whole-grid arrays.  ``sylvester_pd`` and condition 4 stay per cell.
+Condition 4 squares with libm's ``x ** 2``; numpy's squares differ
+from it in the last bit on some arguments, and that bit can flip
+``lhs > rhs``.  A cell's ``sylvester_pd`` asks whether the weight grid
+of ``search_coeffs`` holds a definite form; the sweep answers it on the
+same 41x41 grid through the algebra of Omega (closed-form intervals,
+then an exact check of the grid points inside them), with answers
+identical to ``search_coeffs(...) is not None``.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .equilibria import inner_equilibrium
 from .errors import ParameterError, _checked_float
 from .lyapunov import _condition4_sides, _grid_has_definite
 from .model import ModelParams
-from .stability import Verdict, classify_equilibrium
+from .stability import Verdict, _equilibrium_verdict
 
 ALPHA_BISECT_LO = 1e-6
 
@@ -75,8 +81,10 @@ class SweepResult:
         """Rows in row-major (alpha outer, k inner) order; a trailing
         comment carries the stable-rectangle corner when one exists."""
         stream.write("alpha,k,inner_exists,rh_verdict,sylvester_pd,cond4_as_written,cond4_corrected\n")
+        k_texts = ["%.17g" % k for k in self.grid.k_values]
         for alpha, row in zip(self.grid.alpha_values, self.cells):
-            for k, cell in zip(self.grid.k_values, row):
+            alpha_text = "%.17g" % alpha
+            for k_text, cell in zip(k_texts, row):
                 if cell.inner_exists:
                     tail = "%s,%s,%s,%s" % (
                         cell.rh_verdict.value,
@@ -86,7 +94,7 @@ class SweepResult:
                     )
                 else:
                     tail = ",,,"
-                stream.write("%.17g,%.17g,%s,%s\n" % (alpha, k, _csv_bool(cell.inner_exists), tail))
+                stream.write("%s,%s,%s,%s\n" % (alpha_text, k_text, _csv_bool(cell.inner_exists), tail))
         if self.alpha0 is not None and self.k0 is not None:
             stream.write("# alpha0=%.17g,k0=%.17g\n" % (self.alpha0, self.k0))
 
@@ -105,10 +113,10 @@ def evaluate_cell(base: ModelParams, alpha: float, k: float) -> SweepCell:
     eq = inner_equilibrium(p)
     if eq is None:
         return SweepCell(False, None, None, None, None)
-    report = classify_equilibrium(p, eq)
+    verdict = _equilibrium_verdict(p, eq)
     definite = _grid_has_definite(p, eq)
     lhs, rhs_as_written, rhs_corrected = _condition4_sides(p, eq)
-    return SweepCell(True, report.verdict, definite, lhs > rhs_as_written, lhs > rhs_corrected)
+    return SweepCell(True, verdict, definite, lhs > rhs_as_written, lhs > rhs_corrected)
 
 
 def _anchored_rectangle(stable) -> Optional[Tuple[int, int]]:
@@ -171,7 +179,7 @@ def find_alpha_margin(base: ModelParams, k_fixed: float, alpha_hi: float) -> Opt
     def stable_at(alpha: float) -> bool:
         p = base.replace(alpha=alpha, k=k_fixed)
         eq = inner_equilibrium(p)
-        return eq is not None and classify_equilibrium(p, eq).verdict is Verdict.STABLE
+        return eq is not None and _equilibrium_verdict(p, eq) is Verdict.STABLE
 
     if not stable_at(ALPHA_BISECT_LO):
         return None

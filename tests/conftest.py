@@ -71,8 +71,14 @@ def sample_params(rng):
 
 
 def sample_params_mild(rng):
-    """Restricted ranges (weak infection, balanced rates) under which
-    trajectories stay well inside the documented boundedness cap."""
+    """Restricted ranges (weak infection, balanced rates), under which
+    fixed-step RK4 stays accurate at moderate dt.
+
+    Trajectories obey the bound proven in :mod:`retrodyn.integrator`
+    for any parameters: with N = C + I, r = max(a, a_I) and
+    q = min(a*b11, a_I*b22), N <= Nbar = max(N0, 2r/q),
+    C <= max(C0, 1/b11) and V <= max(V0, k*m*Nbar/sigma).
+    """
     return ModelParams(
         a=log_uniform(rng, 0.3, 3.0),
         a_I=log_uniform(rng, 0.5, 2.0),

@@ -26,7 +26,7 @@ from retrodyn import (
 import retrodyn.integrator
 from retrodyn.integrator import _attach_lyapunov, _check_initial
 
-from conftest import sample_params_mild, state_near
+from conftest import sample_params, sample_params_mild, state_near
 
 ONES = LyapunovCoeffs(1.0, 1.0, 1.0)
 
@@ -285,16 +285,22 @@ def test_determinism(p2):
 
 
 def test_random_runs_stay_nonnegative_and_bounded():
+    # The integrator docstring's proven bound, times 1 + 1e-9 for the
+    # RK4 step error, on the mild and the wide parameter families.
     rng = np.random.default_rng(71)
     opts = fixed(0.05, 50.0)
-    for _ in range(20):
-        p = sample_params_mild(rng)
-        s0 = State(*rng.uniform(0.0, 2.0, size=3))
-        traj = integrate(p, s0, opts)
-        assert traj.states.min() >= -opts.abs_tol
-        bmin = min(p.b11, p.b22)
-        cap = 10.0 * (max(s0.C, s0.I, s0.V) + 1.0 / bmin + p.k * p.m / (p.sigma * bmin))
-        assert traj.states.max() < cap
+    slack = 1.0 + 1e-9
+    for sampler in (sample_params_mild, sample_params):
+        for _ in range(20):
+            p = sampler(rng)
+            C0, I0, V0 = rng.uniform(0.0, 2.0, size=3).tolist()
+            traj = integrate(p, State(C0, I0, V0), opts)
+            assert traj.states.min() >= -opts.abs_tol
+            n_bar = max(C0 + I0, 2.0 * max(p.a, p.a_I) / min(p.a * p.b11, p.a_I * p.b22))
+            C, I, V = traj.states.T
+            assert (C + I).max() <= n_bar * slack
+            assert C.max() <= max(C0, 1.0 / p.b11) * slack
+            assert V.max() <= max(V0, p.k * p.m * n_bar / p.sigma) * slack
 
 
 def test_csv_roundtrip(p2):

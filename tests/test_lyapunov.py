@@ -164,6 +164,24 @@ def test_omega_entries_at_equilibrium(p2):
     assert form.omega33 == p2.a * p2.b11 / pt.C
 
 
+def test_omega_underflowing_divisor(p2):
+    # V*V^, I*I^ and I*I^^2 underflow to 0 at these octant states; the
+    # entries then divide by one factor at a time instead of raising
+    eq = inner_equilibrium(p2)
+    form = omega_at(p2, ONES, eq, State(1.0, 1.0, 5e-324))
+    assert (form.omega11, form.omega12) == (math.inf, -math.inf)
+    assert form.omega22 == omega_at(p2, ONES, eq, State(1.0, 1.0, 1.0)).omega22
+    form = omega_at(p2, ONES, eq, State(1.0, 5e-324, 1.0))
+    assert (form.omega22, form.omega12, form.omega23) == (math.inf, -math.inf, -math.inf)
+    # a product that stays above 0 keeps the one-step division
+    s = State(1.0, 1e-300, 1e-300)
+    form = omega_at(p2, ONES, eq, s)
+    assert form.omega11 == p2.sigma / (s.V * eq.point.V)
+    assert form.omega22 == p2.a_I * p2.b22 / eq.point.I + p2.alpha * eq.point.C * eq.point.V / (
+        s.I * eq.point.I * eq.point.I
+    )
+
+
 def test_as_matrix_and_value_agree(p2):
     rng = np.random.default_rng(61)
     eq = inner_equilibrium(p2)

@@ -6,7 +6,9 @@ import pytest
 
 from retrodyn import (
     Condition4Variant,
+    ModelParams,
     ParameterError,
+    SweepCell,
     SweepGrid,
     Verdict,
     classify_equilibrium,
@@ -81,13 +83,97 @@ def test_single_cell_map(p2):
     assert (res.alpha0, res.k0) == (0.5, 1.0)
 
 
-def test_map_matches_per_cell_calls(p2):
-    grid = SweepGrid(base=p2, alpha_values=log_axis(0.01, 1.0, 20),
-                     k_values=log_axis(0.1, 2.0, 20))
+def _component_cell(base, alpha, k):
+    # A cell from the public functions evaluate_cell stands for.
+    p = base.replace(alpha=alpha, k=k)
+    eq = inner_equilibrium(p)
+    if eq is None:
+        return SweepCell(False, None, None, None, None)
+    return SweepCell(
+        True,
+        classify_equilibrium(p, eq).verdict,
+        search_coeffs(p, eq) is not None,
+        condition4(p, eq, Condition4Variant.AS_WRITTEN).holds,
+        condition4(p, eq, Condition4Variant.CORRECTED).holds,
+    )
+
+
+def _csv_cell_by_cell(grid):
+    # The sweep CSV built from the component functions, one cell and one row at a time.
+    cells = [[_component_cell(grid.base, alpha, k) for k in grid.k_values] for alpha in grid.alpha_values]
+    out = "alpha,k,inner_exists,rh_verdict,sylvester_pd,cond4_as_written,cond4_corrected\n"
+    for alpha, row in zip(grid.alpha_values, cells):
+        for k, c in zip(grid.k_values, row):
+            fields = [c.inner_exists, c.rh_verdict, c.sylvester_pd, c.cond4_as_written, c.cond4_corrected]
+            texts = ["" if f is None else f.value if isinstance(f, Verdict) else str(f).lower()
+                     for f in fields]
+            out += "%.17g,%.17g,%s\n" % (alpha, k, ",".join(texts))
+    corner = _anchored_rectangle([[c.rh_verdict is Verdict.STABLE for c in row] for row in cells])
+    if corner is not None:
+        out += "# alpha0=%.17g,k0=%.17g\n" % (grid.alpha_values[corner[0]], grid.k_values[corner[1]])
+    return cells, out
+
+
+def _assert_map_matches_cells(grid):
     res = stability_map(grid)
+    cells, csv = _csv_cell_by_cell(grid)
     for i, alpha in enumerate(grid.alpha_values):
         for j, k in enumerate(grid.k_values):
-            assert res.cells[i][j] == evaluate_cell(p2, alpha, k)
+            cell = evaluate_cell(grid.base, alpha, k)
+            assert res.cells[i][j] == cell == cells[i][j], (grid.base, alpha, k)
+    buf = io.StringIO()
+    res.write_csv(buf)
+    assert buf.getvalue() == csv
+
+
+def _random_log_axis(rng, n):
+    return np.sort(10.0 ** rng.uniform(-3.0, 2.0, n)).tolist()
+
+
+def test_map_matches_per_cell_calls(p2):
+    # The map and evaluate_cell against the component functions, and the
+    # CSV against one formatted row by row: P2, then random bases on
+    # random log grids of shapes 1x1, 1xn, nx1 and 7x13.
+    _assert_map_matches_cells(SweepGrid(base=p2, alpha_values=log_axis(0.01, 1.0, 20),
+                                        k_values=log_axis(0.1, 2.0, 20)))
+    rng = np.random.default_rng(89)
+    for n in range(240):
+        n_alpha, n_k = [(1, 1), (1, None), (None, 1), (7, 13)][n % 4]
+        grid = SweepGrid(base=sample_params(rng),
+                         alpha_values=_random_log_axis(rng, n_alpha or int(rng.integers(2, 10))),
+                         k_values=_random_log_axis(rng, n_k or int(rng.integers(2, 10))))
+        _assert_map_matches_cells(grid)
+
+
+_P2 = dict(a=1, a_I=2, b11=1, b12=0.1, b21=0.1, b22=1, alpha=0.5, m=0.5, k=1, sigma=1)
+
+
+@pytest.mark.parametrize(
+    "params, alpha_values, k_values",
+    [
+        # condition 4's squares overflow to inf; some margins are NaN
+        (dict(_P2, a=1e308), log_axis(0.01, 10.0, 5), log_axis(0.1, 10.0, 5)),
+        # a*sigma underflows to 0, so Cramer's rule divides in two steps
+        (dict(a=3e-188, a_I=5.98, b11=9.1, b12=4.08, b21=1.47, b22=1.22,
+              alpha=3.67, m=4.42, k=4.66, sigma=1.5e-295),
+         log_axis(1e-300, 1.0, 6), log_axis(0.1, 10.0, 4)),
+        # det = (alpha*k - 1)*(alpha*k - 2): exactly 0 on six cells, negative between
+        (dict(a=1, a_I=1, b11=1, b12=0, b21=3, b22=2, alpha=1, m=0.5, k=1, sigma=0.5),
+         (0.25, 0.5, 1.0, 1.5, 2.0, 4.0, 8.0), (0.5, 1.0, 2.0)),
+        # the reduced system is consistent and singular at the middle cell,
+        # where det is 4e-16 and Cramer's rule without the guard would give C, I, V > 0
+        (dict(a=1.0, a_I=1.5214494436474328, b11=1.6933132905733062, b12=0.15788100282626316,
+              b21=1.6025874303732093, b22=0.5240544995387667, alpha=1, m=0.4131232564739269, k=1,
+              sigma=0.4131232564739269),
+         (0.3, 0.6247555316198867, 1.2), (0.5, 0.8987712199209266, 1.8)),
+        # P2 with every rate x 1e103: the cubic overflows, p*q - r is NaN
+        ({**_P2, **{name: 1e103 * _P2[name] for name in ("a", "a_I", "m", "sigma", "alpha")}},
+         log_axis(1e101, 1e105, 6), log_axis(0.1, 10.0, 4)),
+    ],
+    ids=["cond4-overflow", "underflow", "det-zero", "consistent-singular", "nan-margins"],
+)
+def test_map_matches_per_cell_calls_on_edge_grids(params, alpha_values, k_values):
+    _assert_map_matches_cells(SweepGrid(ModelParams(**params), alpha_values, k_values))
 
 
 def test_map_rectangle_against_brute_force(p2):
