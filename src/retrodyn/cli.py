@@ -22,6 +22,7 @@ form), 2 bad configuration or usage, 3 numerical failure at runtime.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -249,8 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call rather than at import; parse_args keeps no
+    # state between calls, so one parser serves every call of main.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
         return _COMMANDS[args.command](config, args)

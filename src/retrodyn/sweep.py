@@ -6,15 +6,23 @@ equilibrium exists and what the local and Lyapunov diagnostics say
 about it.  The map is one nested loop of ``evaluate_cell`` calls on
 Python floats.  A cell's equilibrium, Jacobian, characteristic cubic
 and Routh-Hurwitz verdict come from kernels that take arrays of
-(alpha, k) as well, with the same bits, so these columns can move to
-whole-grid arrays.  ``sylvester_pd`` and condition 4 stay per cell.
-Condition 4 squares with libm's ``x ** 2``; numpy's squares differ
-from it in the last bit on some arguments, and that bit can flip
-``lhs > rhs``.  A cell's ``sylvester_pd`` asks whether the weight grid
-of ``search_coeffs`` holds a definite form; the sweep answers it on the
-same 41x41 grid through the algebra of Omega (closed-form intervals,
-then an exact check of the grid points inside them), with answers
-identical to ``search_coeffs(...) is not None``.
+(alpha, k) as well, with the same bits, so these columns could move to
+whole-grid arrays; the map stays per cell only because the benchmark
+counts sweep cells through ``evaluate_cell`` calls.  ``sylvester_pd``
+and condition 4 stay per cell.  Condition 4 squares with libm's
+``x ** 2``; numpy's squares differ from it in the last bit on some
+arguments, and that bit can flip ``lhs > rhs``.
+
+A cell's ``sylvester_pd`` asks whether the weight grid of
+``search_coeffs`` holds a definite form.  At the equilibrium
+Omega = -sym(P*J), with J the Jacobian in (V, I, C) order and
+P = diag(D/V^^2, B/I^^2, A/C^^2) positive, so a definite Omega makes J
+Hurwitz (Lyapunov's theorem): an Unstable cell's ``sylvester_pd`` is
+false without a look at the weights.  Stable and Marginal cells (a
+float Marginal can still be exactly Hurwitz) are answered on the same
+41x41 grid through the algebra of Omega (closed-form intervals, then
+an exact check of the grid points inside them), with answers identical
+to ``search_coeffs(...) is not None``.
 """
 
 from __future__ import annotations
@@ -70,6 +78,10 @@ class SweepCell:
     cond4_corrected: Optional[bool]
 
 
+# The one cell without a coexistence equilibrium, shared by every such cell.
+_ABSENT = SweepCell(False, None, None, None, None)
+
+
 @dataclass
 class SweepResult:
     grid: SweepGrid
@@ -106,15 +118,18 @@ def _csv_bool(flag: bool) -> str:
 def evaluate_cell(base: ModelParams, alpha: float, k: float) -> SweepCell:
     """Full diagnostic battery for a single (alpha, k) combination.
 
-    ``sylvester_pd`` is ``search_coeffs(p, eq) is not None``, decided by
-    ``lyapunov._grid_has_definite`` without searching the whole grid.
+    ``sylvester_pd`` is ``search_coeffs(p, eq) is not None``.  It is
+    false at an Unstable cell by Lyapunov's theorem (a definite
+    Omega = -sym(P*J) at the equilibrium makes J Hurwitz), decided
+    without the weight grid; elsewhere ``lyapunov._grid_has_definite``
+    decides it without searching the whole grid.
     """
     p = base.replace(alpha=alpha, k=k)
     eq = inner_equilibrium(p)
     if eq is None:
-        return SweepCell(False, None, None, None, None)
+        return _ABSENT
     verdict = _equilibrium_verdict(p, eq)
-    definite = _grid_has_definite(p, eq)
+    definite = verdict is not Verdict.UNSTABLE and _grid_has_definite(p, eq)
     lhs, rhs_as_written, rhs_corrected = _condition4_sides(p, eq)
     return SweepCell(True, verdict, definite, lhs > rhs_as_written, lhs > rhs_corrected)
 

@@ -20,7 +20,8 @@ from retrodyn import (
     stability_map,
     w_value,
 )
-from retrodyn.cli import main
+import retrodyn.cli
+from retrodyn.cli import build_parser, main
 
 P1 = {"a": 1, "a_I": 2, "b11": 1, "b12": 0, "b21": 0, "b22": 1,
       "alpha": 0, "m": 1, "k": 1, "sigma": 2}
@@ -435,3 +436,39 @@ def test_frozen_stdout(tmp_path, capsys, payload, argv, digest):
     got_code, out, err = run_cli(["--config", cfg, *argv], capsys)
     assert (got_code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_main_repeats_in_one_process(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process and reuses it; every later
+    # call must answer as the first call of its command did.
+    built = []
+    monkeypatch.setattr(retrodyn.cli, "build_parser", lambda: built.append(1) or build_parser())
+    retrodyn.cli._parser.cache_clear()
+    sweep_cfg = write_config(tmp_path, {"params": _SWEEP_BASE, "sweep": _SWEEP_AXES}, "sweep.json")
+    sim_cfg = write_config(tmp_path, {"params": P2, "initial_state": _START, "integration": _FIXED},
+                           "simulate.json")
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    calls = [
+        ["--config", sweep_cfg, "sweep"],
+        ["--config", sweep_cfg, "frobnicate"],
+        ["--config", sim_cfg, "simulate"],
+        ["--config", sweep_cfg, "sweep"],
+        ["--config", sim_cfg, "stability", "--variant", "as-written"],
+        ["--config", sim_cfg, "stability"],
+    ]
+    first = {}
+    for argv in calls:
+        got = call(argv)
+        assert got == first.setdefault(tuple(argv), got), argv
+    assert first[tuple(calls[1])] == (2, "")
+    assert first[tuple(calls[0])][0] == first[tuple(calls[2])][0] == 0
+    assert first[tuple(calls[4])] != first[tuple(calls[5])]
+    assert len(built) == 1
+    assert build_parser() is not build_parser()

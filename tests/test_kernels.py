@@ -1,16 +1,20 @@
 """The kernels behind inner_equilibrium, jacobian, char_cubic and
 routh_hurwitz_cubic take floats or broadcastable arrays of (alpha, k);
-on arrays they must give the bits they give on floats."""
+on arrays they must give the bits they give on floats.  The sweep's
+kernel verdict must also rule out a definite form where it says
+Unstable."""
 
 import struct
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from retrodyn import ModelParams
+from retrodyn import ModelParams, Verdict, inner_equilibrium, search_coeffs
 from retrodyn.equilibria import _cramer_solution, _reduced_system
 from retrodyn.model import PARAM_NAMES, _cubic_coeffs, _jacobian_entries
-from retrodyn.stability import _hurwitz
+from retrodyn.stability import _equilibrium_verdict, _hurwitz
+
+from conftest import sample_params
 
 
 def _assert_same(floats, arrays):
@@ -61,3 +65,35 @@ def test_kernels_same_bits_on_floats_and_arrays(params, alphas, ks):
             floats = (solution_f, jac_f, cubic_f, (*margins_f, unstable_f, stable_f))
             for outputs, array in zip(floats, arrays[1:]):
                 _assert_same(outputs, [x[i, j] for x in array])
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def _scaled(p, factor, names):
+    return p.replace(**{name: getattr(p, name) * factor for name in names})
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    time=_log_uniform(-150.0, 150.0),
+    population=_log_uniform(-150.0, 150.0),
+    alphas=st.lists(_log_uniform(-3.0, 2.0), min_size=1, max_size=4),
+    ks=st.lists(_log_uniform(-2.0, 3.0), min_size=1, max_size=4),
+)
+def test_unstable_equilibrium_has_no_definite_form(seed, time, population, alphas, ks):
+    # At the equilibrium Omega = -sym(P*J) with P = diag(D/V^^2, B/I^^2,
+    # A/C^^2) positive, so a definite Omega makes J Hurwitz (Lyapunov's
+    # theorem); the sweep relies on it, in floats, to skip the weight
+    # grid at Unstable cells.  Rates scale with the time unit and b_ij
+    # and alpha with the population unit.
+    base = sample_params(np.random.default_rng(seed))
+    for alpha in alphas:
+        for k in ks:
+            p = _scaled(base.replace(alpha=alpha, k=k), time, ("a", "a_I", "m", "sigma", "alpha"))
+            p = _scaled(p, population, ("b11", "b12", "b21", "b22", "alpha"))
+            eq = inner_equilibrium(p)
+            if eq is not None and _equilibrium_verdict(p, eq) is Verdict.UNSTABLE:
+                assert search_coeffs(p, eq) is None, p

@@ -75,6 +75,21 @@ def test_evaluate_cell_matches_components(p2):
     assert cell.cond4_corrected == condition4(p, eq, Condition4Variant.CORRECTED).holds
 
 
+def test_unstable_cell_skips_the_weight_grid(p2, p_unstable, monkeypatch):
+    # A definite Omega = -sym(P*J) at the equilibrium (P positive
+    # diagonal) makes J Hurwitz, so an Unstable cell needs no weight grid.
+    def refuse(p, eq):
+        raise AssertionError("searched the weight grid")
+
+    monkeypatch.setattr(retrodyn.sweep, "_grid_has_definite", refuse)
+    for alpha in (1.5, 2.0, 3.0):
+        for k in (20.0, 30.0, 45.0):
+            cell = evaluate_cell(p_unstable, alpha, k)
+            assert cell.rh_verdict is Verdict.UNSTABLE and cell.sylvester_pd is False
+    with pytest.raises(AssertionError, match="weight grid"):
+        evaluate_cell(p2, 0.5, 1.0)  # Stable
+
+
 def test_single_cell_map(p2):
     grid = SweepGrid(base=p2, alpha_values=(0.5,), k_values=(1.0,))
     res = stability_map(grid)
