@@ -56,7 +56,7 @@ class RunConfig:
     sweep: Optional[SweepGrid]
 
 
-def _shape(obj, where: str, required, optional=()) -> dict:
+def _shape(obj, where: str, required, optional) -> dict:
     """``obj`` itself, once it is a JSON object with every required key,
     no key outside ``required`` and ``optional``, and no null value."""
     if not isinstance(obj, dict):
@@ -229,7 +229,10 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call rather than at import; parse_args keeps no
+    # state between calls, so one parser serves every call of main.
     parser = argparse.ArgumentParser(
         prog="retrodyn",
         description="Equilibria, stability and Lyapunov analysis of a retrovirus dynamics model.",
@@ -248,13 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("sweep", help="stability map over an (alpha, k) grid as CSV")
     sub.add_parser("lyapunov", help="trace W and dW/dt along a trajectory as CSV")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built on the first call rather than at import; parse_args keeps no
-    # state between calls, so one parser serves every call of main.
-    return build_parser()
 
 
 def main(argv=None) -> int:

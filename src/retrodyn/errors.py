@@ -3,7 +3,6 @@ every numeric input passes through."""
 
 import operator
 import sys
-from typing import Optional
 
 _FLOAT_MAX = sys.float_info.max
 _BOUNDS = {">": operator.gt, ">=": operator.ge, "!=": operator.ne}
@@ -23,13 +22,13 @@ class IntegrationError(RuntimeError):
     step budget exhausted, or a non-finite state)."""
 
 
-def _checked_float(name: str, value, bound: Optional[str] = None, limit: float = 0.0) -> float:
+def _checked_float(name: str, value, bound: str, limit: float = 0.0) -> float:
     """Return ``value`` as a float, or raise ParameterError naming ``name``.
 
     ``value`` must be an int or a float (numpy.float64 is one), not a
     bool, and finite; comparing against the largest float also rejects
-    ints too large to convert.  ``bound`` (">", ">=" or "!=") further
-    requires ``value <bound> limit``.
+    ints too large to convert.  It must also satisfy ``value <bound>
+    limit``, with ``bound`` one of ">", ">=" or "!=".
 
     Model parameters pass through here once per sweep cell, so a plain
     float skips the type tests and messages are built only on failure.
@@ -39,6 +38,6 @@ def _checked_float(name: str, value, bound: Optional[str] = None, limit: float =
         and (isinstance(value, bool) or not isinstance(value, (int, float)))
     ) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         raise ParameterError(f"{name!r} must be a finite real number, got {value!r}")
-    if bound is not None and not _BOUNDS[bound](value, limit):
+    if not _BOUNDS[bound](value, limit):
         raise ParameterError(f"{name!r} must be {bound} {limit:g}, got {value!r}")
     return float(value)

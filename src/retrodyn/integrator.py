@@ -15,7 +15,8 @@ A step is retried at half length when a population would fall below
 -abs_tol or a value is non-finite, and (adaptive only) at the controller
 factor, then in [0.2, 0.9), when err > tol.  Fixed mode resumes dt after
 a shortened step.  A non-finite value is not fatal: IntegrationError is
-raised only when the step drops below 1e-12 * t_end or the step budget
+raised only when the step drops below 1e-12 * t_end (below the smallest
+subnormal, 5e-324, when that product underflows to 0) or the step budget
 is exhausted.
 
 Bound: the exact solution from nonnegative initial data stays in a
@@ -159,7 +160,7 @@ def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Traje
     """
     s0 = _check_initial(s0)
     t_end = opts.t_end
-    dt_min = 1e-12 * t_end
+    dt_min = 1e-12 * t_end or math.ulp(0.0)
     dt = opts.dt if opts.dt is not None else t_end / 100.0
     adaptive = opts.mode is IntegrationMode.ADAPTIVE_RK4
     neg_floor = -opts.abs_tol
@@ -212,27 +213,6 @@ def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Traje
     return Trajectory(times=np.array(times), states=np.array(flat).reshape(-1, 3))
 
 
-def _attach_lyapunov(
-    params: ModelParams,
-    coeffs: LyapunovCoeffs,
-    eq: Equilibrium,
-    traj: Trajectory,
-) -> Trajectory:
-    # eq is the inner equilibrium (checked by the caller).  Rows before the first
-    # non-positive one are sampled before it is reported, so their errors come first.
-    states = traj.states
-    positive = (states > 0.0).all(axis=1)
-    n = len(positive) if positive.all() else int(positive.argmin())
-    C, I, V = states[:n].T
-    pt = eq.point
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, silently, as on floats
-        samples = np.column_stack((_w(coeffs, pt, C, I, V), _w_dot(params, coeffs, pt, C, I, V)))
-    if n < len(positive):
-        t, (C, I, V) = traj.times[n].item(), states[n].tolist()
-        raise DomainError(f"trajectory left the open positive octant at t={t!r}: ({C!r}, {I!r}, {V!r})")
-    return Trajectory(times=traj.times, states=states, lyapunov_samples=samples)
-
-
 def lyapunov_trace(
     params: ModelParams,
     coeffs: LyapunovCoeffs,
@@ -254,4 +234,17 @@ def lyapunov_trace(
     _require_inner(eq)
     s0 = _check_initial(s0)
     _require_positive(s0)
-    return _attach_lyapunov(params, coeffs, eq, integrate(params, s0, opts))
+    traj = integrate(params, s0, opts)
+    # Rows before the first non-positive one are sampled before it is
+    # reported, so their errors come first.
+    states = traj.states
+    positive = (states > 0.0).all(axis=1)
+    n = len(positive) if positive.all() else int(positive.argmin())
+    C, I, V = states[:n].T
+    pt = eq.point
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, silently, as on floats
+        samples = np.column_stack((_w(coeffs, pt, C, I, V), _w_dot(params, coeffs, pt, C, I, V)))
+    if n < len(positive):
+        t, (C, I, V) = traj.times[n].item(), states[n].tolist()
+        raise DomainError(f"trajectory left the open positive octant at t={t!r}: ({C!r}, {I!r}, {V!r})")
+    return Trajectory(times=traj.times, states=states, lyapunov_samples=samples)

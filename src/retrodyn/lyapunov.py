@@ -21,10 +21,11 @@ through the occupied populations:
     omega23 = (A*a*b12/C^ + B*a_I*b21/I^ - B*alpha*V/(I*I^)) / 2
 
 Positive definiteness of Omega (checked through the leading principal
-minors, Sylvester's criterion) certifies that W decays, i.e. local
-asymptotic stability with an explicit basin estimate.  A scalar
-sufficient condition on the equilibrium alone ("condition4") and a grid
-search for weights that make Omega definite are also provided.
+minors, Sylvester's criterion) at the equilibrium certifies local
+asymptotic stability only: no routine estimates a basin of attraction.
+A scalar sufficient condition on the equilibrium alone ("condition4")
+and a grid search for weights that make Omega definite are also
+provided.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from retrodyn import (
     w_value,
 )
 import retrodyn.cli
-from retrodyn.cli import build_parser, main
+from retrodyn.cli import main
 
 P1 = {"a": 1, "a_I": 2, "b11": 1, "b12": 0, "b21": 0, "b22": 1,
       "alpha": 0, "m": 1, "k": 1, "sigma": 2}
@@ -93,6 +93,8 @@ def test_equilibria_no_inner(tmp_path, capsys):
         {"params": P1, "lyapunov": {"A": None, "B": 1.0, "D": 1.0}},
         {"params": P1, "initial_state": {"C": None, "I": 0.1, "V": 0.1}},
         {"params": P1, "integration": {"t_end": 1.0, "dt": 0.1, "mode": ["fixed"]}},
+        {"params": [1, 2]},
+        [],
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, payload):
@@ -186,6 +188,20 @@ def test_simulate_budget_exhausted_exit_3(tmp_path, capsys):
     code, _, err = run_cli(["--config", cfg, "simulate"], capsys)
     assert code == 3
     assert "max_steps" in err
+
+
+def test_step_underflow_exit_3(tmp_path, capsys):
+    # 1e-12 * t_end underflows to 0 here; the step floor is then the
+    # smallest subnormal, so a step that keeps failing still ends the run
+    cfg = write_config(tmp_path, {
+        "params": P2,
+        "initial_state": {"C": 1e200, "I": 1e200, "V": 1e200},
+        "integration": {"t_end": 1e-320, "dt": 1e-320, "mode": "adaptive"},
+        "lyapunov": {"A": 1.0, "B": 1.0, "D": 1.0},
+    })
+    code, out, err = run_cli(["--config", cfg, "lyapunov"], capsys)
+    assert (code, out) == (3, "")
+    assert "step underflow" in err
 
 
 def test_stability_p1(tmp_path, capsys):
@@ -438,11 +454,9 @@ def test_frozen_stdout(tmp_path, capsys, payload, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_main_repeats_in_one_process(tmp_path, capsys, monkeypatch):
+def test_main_repeats_in_one_process(tmp_path, capsys):
     # main builds its parser once per process and reuses it; every later
     # call must answer as the first call of its command did.
-    built = []
-    monkeypatch.setattr(retrodyn.cli, "build_parser", lambda: built.append(1) or build_parser())
     retrodyn.cli._parser.cache_clear()
     sweep_cfg = write_config(tmp_path, {"params": _SWEEP_BASE, "sweep": _SWEEP_AXES}, "sweep.json")
     sim_cfg = write_config(tmp_path, {"params": P2, "initial_state": _START, "integration": _FIXED},
@@ -470,5 +484,4 @@ def test_main_repeats_in_one_process(tmp_path, capsys, monkeypatch):
     assert first[tuple(calls[1])] == (2, "")
     assert first[tuple(calls[0])][0] == first[tuple(calls[2])][0] == 0
     assert first[tuple(calls[4])] != first[tuple(calls[5])]
-    assert len(built) == 1
-    assert build_parser() is not build_parser()
+    assert retrodyn.cli._parser.cache_info().misses == 1

@@ -24,7 +24,7 @@ from retrodyn import (
     w_value,
 )
 import retrodyn.integrator
-from retrodyn.integrator import _attach_lyapunov, _check_initial
+from retrodyn.integrator import _check_initial
 
 from conftest import sample_params, sample_params_mild, state_near
 
@@ -276,6 +276,17 @@ def test_step_budget():
         integrate(DECAY, State(0.0, 0.0, 1.0), fixed(0.1, 1.0, max_steps=1))
 
 
+@pytest.mark.parametrize("mode", list(IntegrationMode))
+@pytest.mark.parametrize("t_end", [1.0, 1e-320])
+def test_step_underflow(p2, mode, t_end):
+    # every step from here overflows, so it is halved until it underflows;
+    # at t_end = 1e-320, 1e-12 * t_end is 0 and the floor is the smallest
+    # subnormal instead
+    opts = IntegrationOptions(t_end=t_end, dt=t_end, mode=mode)
+    with pytest.raises(IntegrationError, match="step underflow"):
+        integrate(p2, State(1e200, 1e200, 1e200), opts)
+
+
 def test_determinism(p2):
     opts = adaptive(10.0)
     a = integrate(p2, State(1.0, 0.5, 0.25), opts)
@@ -404,20 +415,21 @@ def test_trace_requires_positive_start(p2, monkeypatch):
             lyapunov_trace(p2, ONES, boundary, State(1.0, 1.0, 1.0), opts)
 
 
-def test_attach_rejects_boundary_states(p2):
-    # the error names the first row that leaves the open octant
-    eq = inner_equilibrium(p2)
-    synth = Trajectory(times=np.array([0.0, 1.0, 2.0]),
-                       states=np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [-1.0, 1.0, 1.0]]))
+def test_attach_rejects_boundary_states(p2, monkeypatch):
+    # the error names the first row that leaves the open octant; integrate
+    # is replaced by one that returns a synthetic trajectory
+    def trace(params, states):
+        synth = Trajectory(times=np.array([0.0, 1.0, 2.0]), states=np.array(states))
+        monkeypatch.setattr(retrodyn.integrator, "integrate", lambda *args: synth)
+        return lyapunov_trace(params, ONES, inner_equilibrium(params), State(1.0, 1.0, 1.0), fixed(0.1, 1.0))
+
     with pytest.raises(DomainError, match=r"t=1\.0: \(1\.0, 0\.0, 1\.0\)"):
-        _attach_lyapunov(p2, ONES, eq, synth)
+        trace(p2, [[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [-1.0, 1.0, 1.0]])
     # a ratio V/V^ that underflows to 0 in an earlier row is reported first,
     # as when the rows were sampled one by one (here V^ = 3.75)
     q = ModelParams(a=1, a_I=2, b11=0.1, b12=0, b21=0, b22=0.1, alpha=0, m=0.5, k=1, sigma=1)
-    synth = Trajectory(times=np.array([0.0, 1.0, 2.0]),
-                       states=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 5e-324], [1.0, 0.0, 1.0]]))
     with pytest.raises(DomainError, match=r"volterra term needs a positive argument, got 0\.0$"):
-        _attach_lyapunov(q, ONES, inner_equilibrium(q), synth)
+        trace(q, [[1.0, 1.0, 1.0], [1.0, 1.0, 5e-324], [1.0, 0.0, 1.0]])
 
 
 def test_trace_matches_scalar_kernels():
