@@ -13,10 +13,12 @@ All commands read a strict JSON config file:
 
 The loader checks only the shape: each section is an object with its
 required keys, no unknown key and no null value.  Every value is then
-checked by the library object built from it.  Each command states
-which sections it needs.  Exit codes: 0 analysis done, 1 the requested
-analytic object does not exist (no coexistence equilibrium, no definite
-form), 2 bad configuration or usage, 3 numerical failure at runtime.
+checked by the library object built from it.  ``_COMMANDS`` states
+which sections each command needs.  Exit codes: 0 analysis done, 1 the
+requested analytic object does not exist (no coexistence equilibrium, no
+definite form), 2 bad configuration or usage (an unreadable, non-UTF-8 or
+unparseable config too), 3 numerical failure at runtime, 141 stdout was
+closed before the output was written.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .equilibria import all_equilibria, inner_equilibrium, residual
+from .equilibria import EquilibriumKind, all_equilibria, inner_equilibrium, residual
 from .errors import DomainError, IntegrationError, ParameterError
 from .integrator import IntegrationMode, IntegrationOptions, _check_initial, integrate, lyapunov_trace
 from .lyapunov import Condition4Variant, LyapunovCoeffs, condition4, search_coeffs
@@ -85,13 +88,14 @@ def _integration_options(**fields) -> IntegrationOptions:
 def load_config(path: str) -> RunConfig:
     """Read a config file, check its shape, and build the typed pieces."""
     try:
-        with open(path, "r") as fh:
+        # JSON text is UTF-8 (RFC 8259), whatever the locale says.
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config {path!r}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParameterError(f"config {path!r} is not valid JSON: {exc}") from exc
 
     top = _shape(raw, "config", ("params",), tuple(_KEYS)[1:])
@@ -107,13 +111,6 @@ def load_config(path: str) -> RunConfig:
         lyapunov=section("lyapunov", LyapunovCoeffs),
         sweep=section("sweep", lambda **axes: SweepGrid(base=params, **axes)),
     )
-
-
-def _need(config: RunConfig, attr: str, command: str):
-    value = getattr(config, attr)
-    if value is None:
-        raise ParameterError(f"command {command!r} requires the {attr!r} config section")
-    return value
 
 
 def _finite_or_null(value):
@@ -146,14 +143,12 @@ def cmd_equilibria(config: RunConfig, args) -> int:
     eqs = all_equilibria(config.params)
     for eq in eqs:
         _print_json(_equilibrium_record(config.params, eq))
-    has_inner = any(eq.kind.value == "inner" for eq in eqs)
+    has_inner = any(eq.kind is EquilibriumKind.INNER for eq in eqs)
     return 0 if has_inner else 1
 
 
 def cmd_simulate(config: RunConfig, args) -> int:
-    s0 = _need(config, "initial_state", "simulate")
-    opts = _need(config, "integration", "simulate")
-    traj = integrate(config.params, s0, opts)
+    traj = integrate(config.params, config.initial_state, config.integration)
     traj.write_csv(sys.stdout)
     return 0
 
@@ -201,31 +196,30 @@ def cmd_stability(config: RunConfig, args) -> int:
 
 
 def cmd_sweep(config: RunConfig, args) -> int:
-    grid = _need(config, "sweep", "sweep")
-    result = stability_map(grid)
-    result.write_csv(sys.stdout)
+    stability_map(config.sweep).write_csv(sys.stdout)
     return 0
 
 
 def cmd_lyapunov(config: RunConfig, args) -> int:
-    s0 = _need(config, "initial_state", "lyapunov")
-    opts = _need(config, "integration", "lyapunov")
-    coeffs = _need(config, "lyapunov", "lyapunov")
     eq = inner_equilibrium(config.params)
     if eq is None:
         print("no coexistence equilibrium; nothing to trace", file=sys.stderr)
         return 1
-    traj = lyapunov_trace(config.params, coeffs, eq, s0, opts)
+    traj = lyapunov_trace(config.params, config.lyapunov, eq, config.initial_state, config.integration)
     traj.write_csv(sys.stdout)
     return 0
 
 
+# Each command: its function, the config sections it needs besides
+# params (checked in this order), and its help line.
 _COMMANDS = {
-    "equilibria": cmd_equilibria,
-    "simulate": cmd_simulate,
-    "stability": cmd_stability,
-    "sweep": cmd_sweep,
-    "lyapunov": cmd_lyapunov,
+    "equilibria": (cmd_equilibria, (), "list all equilibria as JSON records"),
+    "simulate": (cmd_simulate, ("initial_state", "integration"),
+                 "integrate the model and emit a CSV trajectory"),
+    "stability": (cmd_stability, (), "analyze the coexistence equilibrium"),
+    "sweep": (cmd_sweep, ("sweep",), "stability map over an (alpha, k) grid as CSV"),
+    "lyapunov": (cmd_lyapunov, ("initial_state", "integration", "lyapunov"),
+                 "trace W and dW/dt along a trajectory as CSV"),
 }
 
 
@@ -239,31 +233,43 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="path to a JSON config file")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("equilibria", help="list all equilibria as JSON records")
-    sub.add_parser("simulate", help="integrate the model and emit a CSV trajectory")
-    stability = sub.add_parser("stability", help="analyze the coexistence equilibrium")
-    stability.add_argument(
+    commands = {name: sub.add_parser(name, help=text) for name, (_, _, text) in _COMMANDS.items()}
+    commands["stability"].add_argument(
         "--variant",
         choices=[v.value for v in Condition4Variant],
         default=Condition4Variant.CORRECTED.value,
         help="which form of the scalar sufficient condition to report",
     )
-    sub.add_parser("sweep", help="stability map over an (alpha, k) grid as CSV")
-    sub.add_parser("lyapunov", help="trace W and dW/dt along a trajectory as CSV")
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    command, sections, _ = _COMMANDS[args.command]
     try:
         config = load_config(args.config)
-        return _COMMANDS[args.command](config, args)
+        for name in sections:
+            if getattr(config, name) is None:
+                raise ParameterError(f"command {args.command!r} requires the {name!r} config section")
+        code = command(config, args)
+        # Output still buffered here would otherwise meet a closed stdout
+        # only in the flush at interpreter exit, past this handler.
+        sys.stdout.flush()
+        return code
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout (say, `| head -1`).  Point fd 1 at
+        # devnull so the flush at interpreter exit cannot fail again, and
+        # exit as a process killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -113,6 +113,20 @@ def test_bad_json_exit_2(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-past-recursion-limit"],
+)
+def test_undecodable_config_exit_2(tmp_path, capsys, data):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    code, out, err = run_cli(["--config", str(path), "equilibria"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["--config", str(tmp_path / "absent.json"), "equilibria"], capsys)
     assert code == 2
@@ -127,6 +141,43 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         main(["--config", cfg, "frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_help_lists_commands_in_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert "{equilibria,simulate,stability,sweep,lyapunov}" in usage
+
+
+_SECTIONS = {
+    "initial_state": {"C": 1.0, "I": 1.0, "V": 1.0},
+    "integration": {"t_end": 1.0, "dt": 0.25},
+    "lyapunov": {"A": 1.0, "B": 1.0, "D": 1.0},
+}
+
+_MISSING_SECTION = [
+    ("simulate", ["integration"], "initial_state"),
+    ("simulate", ["initial_state"], "integration"),
+    ("sweep", [], "sweep"),
+    # with none of its sections, the first one checked is named
+    ("lyapunov", [], "initial_state"),
+    ("lyapunov", ["initial_state", "lyapunov"], "integration"),
+    ("lyapunov", ["initial_state", "integration"], "lyapunov"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, present, missing",
+    _MISSING_SECTION,
+    ids=[f"{command}-{missing}" for command, _, missing in _MISSING_SECTION],
+)
+def test_missing_section_exit_2(tmp_path, capsys, command, present, missing):
+    cfg = write_config(tmp_path, {"params": P2, **{name: _SECTIONS[name] for name in present}})
+    code, out, err = run_cli(["--config", cfg, command], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: command {command!r} requires the {missing!r} config section\n"
 
 
 def test_simulate_header_and_rows(tmp_path, capsys):
@@ -170,13 +221,6 @@ def test_simulate_equilibrium_start_is_constant(tmp_path, capsys):
     base = rows[0][1:]
     for row in rows:
         assert max(abs(a - b) for a, b in zip(row[1:], base)) < 1e-12
-
-
-def test_simulate_missing_section_exit_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"params": P2, "initial_state": {"C": 1, "I": 1, "V": 1}})
-    code, _, err = run_cli(["--config", cfg, "simulate"], capsys)
-    assert code == 2
-    assert "integration" in err
 
 
 def test_simulate_budget_exhausted_exit_3(tmp_path, capsys):
@@ -324,13 +368,6 @@ def test_sweep_matches_library(tmp_path, capsys):
     assert out == buf.getvalue()
 
 
-def test_sweep_missing_section_exit_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"params": P2})
-    code, _, err = run_cli(["--config", cfg, "sweep"], capsys)
-    assert code == 2
-    assert "sweep" in err
-
-
 def test_lyapunov_trace_columns(tmp_path, capsys):
     coeffs = {"A": 1.0, "B": 2.0, "D": 3.0}
     cfg = write_config(tmp_path, {
@@ -347,17 +384,6 @@ def test_lyapunov_trace_columns(tmp_path, capsys):
     w0 = float(lines[1].split(",")[4])
     eq = inner_equilibrium(_model(P2))
     assert w0 == w_value(LyapunovCoeffs(**coeffs), eq, State(1.0, 1.0, 1.0))
-
-
-def test_lyapunov_requires_coeff_section(tmp_path, capsys):
-    cfg = write_config(tmp_path, {
-        "params": P2,
-        "initial_state": {"C": 1.0, "I": 1.0, "V": 1.0},
-        "integration": {"t_end": 1.0, "dt": 0.25},
-    })
-    code, _, err = run_cli(["--config", cfg, "lyapunov"], capsys)
-    assert code == 2
-    assert "lyapunov" in err
 
 
 def test_lyapunov_no_inner_exit_1(tmp_path, capsys):
@@ -397,19 +423,58 @@ def test_installed_entry_point(tmp_path):
     assert json.loads(proc.stdout.strip().split("\n")[0])["kind"] == "inner"
 
 
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _module_argv(cfg, command):
+    return [sys.executable, "-m", "retrodyn.cli", "--config", cfg, command]
+
+
+def _module_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def test_entry_point_wiring(tmp_path):
     tomllib = pytest.importorskip("tomllib")
-    root = pathlib.Path(__file__).resolve().parent.parent
-    with open(root / "pyproject.toml", "rb") as fh:
+    with open(_ROOT / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts["retrodyn"] == "retrodyn.cli:main"
     cfg = write_config(tmp_path, {"params": P1})
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "retrodyn.cli", "--config", cfg, "equilibria"],
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run(_module_argv(cfg, "equilibria"), capture_output=True, text=True,
+                          env=_module_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout.strip().split("\n")[0])["kind"] == "inner"
+
+
+def test_closed_stdout_exits_141(tmp_path):
+    # `simulate | head -1` on 40,001 rows: a write fails once the reader
+    # has closed its end of the pipe
+    cfg = write_config(tmp_path, {"params": P2, "initial_state": {"C": 1.0, "I": 1.0, "V": 1.0},
+                                  "integration": {"t_end": 400.0, "dt": 0.01}})
+    proc = subprocess.Popen(_module_argv(cfg, "simulate"), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_module_env())
+    with proc.stderr:
+        assert proc.stdout.readline() == b"t,C,I,V\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+
+
+def test_closed_stdout_short_output_exits_141(tmp_path):
+    # a few records stay in stdout's buffer until a flush, which must
+    # fail inside main rather than at interpreter exit
+    cfg = write_config(tmp_path, {"params": P1})
+    env = _module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(_module_argv(cfg, "equilibria"), stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 # P2 with a, b12 and b22 changed: this grid holds all four cell classes
