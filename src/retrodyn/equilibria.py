@@ -84,6 +84,16 @@ def _cramer_solution(p: ModelParams, k, a11, a12, a21, a22, det):
     return C, I, V, (C > POSITIVITY_FLOOR) & (I > POSITIVITY_FLOOR) & (V > POSITIVITY_FLOOR)
 
 
+def _inner_point(p: ModelParams, alpha: float, k: float) -> Optional[tuple]:
+    # inner_equilibrium's point as floats (C, I, V), or None, at (alpha, k)
+    # in place of p.alpha and p.k; the sweep calls it once per cell.
+    system, singular = _reduced_system(p, alpha, k)
+    if singular:
+        return None
+    C, I, V, positive = _cramer_solution(p, k, *system)
+    return (C, I, V) if positive else None
+
+
 def inner_equilibrium(params: ModelParams) -> Optional[Equilibrium]:
     """Coexistence equilibrium with all three coordinates positive.
 
@@ -92,13 +102,10 @@ def inner_equilibrium(params: ModelParams) -> Optional[Equilibrium]:
     (relative determinant below ``SINGULAR_RTOL``) or when any
     coordinate is not above ``POSITIVITY_FLOOR`` (NaN included).
     """
-    system, singular = _reduced_system(params, params.alpha, params.k)
-    if singular:
+    point = _inner_point(params, params.alpha, params.k)
+    if point is None:
         return None
-    C, I, V, positive = _cramer_solution(params, params.k, *system)
-    if not positive:
-        return None
-    return Equilibrium(State(C, I, V), EquilibriumKind.INNER)
+    return Equilibrium(State(*point), EquilibriumKind.INNER)
 
 
 def boundary_equilibria(params: ModelParams) -> list:

@@ -30,7 +30,7 @@ def _checked_float(name: str, value, bound: str, limit: float = 0.0) -> float:
     ints too large to convert.  It must also satisfy ``value <bound>
     limit``, with ``bound`` one of ">", ">=" or "!=".
 
-    Model parameters pass through here once per sweep cell, so a plain
+    A sweep cell's alpha and k pass through here once per cell, so a plain
     float skips the type tests and messages are built only on failure.
     """
     if (

@@ -194,20 +194,21 @@ def w_dot(params: ModelParams, coeffs: LyapunovCoeffs, eq: Equilibrium, s: State
     return _w_dot(params, coeffs, eq.point, s.C, s.I, s.V)
 
 
-def _omega_entries(params, A, B, D, eq_point, at_point):
+def _omega_entries(params, alpha, k, A, B, D, eq_point, at_point):
     # Shared by the scalar and the vectorized (grid search) callers:
-    # A, B, D may be floats or broadcastable arrays; the points are
-    # floats, and a product of coordinates that underflows to 0 is
-    # divided by one factor at a time.
+    # A, B, D may be floats or broadcastable arrays; alpha, k (in place
+    # of params.alpha and params.k) and the points are floats, and a
+    # product of coordinates that underflows to 0 is divided by one
+    # factor at a time.
     p = params
     Ch, Ih, Vh = eq_point
     C, I, V = at_point
     w11 = _over_product(D * p.sigma, V, Vh)
-    w22 = B * (p.a_I * p.b22 / Ih + _over_product(p.alpha * Ch * Vh, I, Ih, Ih))
+    w22 = B * (p.a_I * p.b22 / Ih + _over_product(alpha * Ch * Vh, I, Ih, Ih))
     w33 = A * (p.a * p.b11 / Ch)
-    w12 = -0.5 * (_over_product(B * p.alpha * Ch, I, Ih) + _over_product(D * p.k * p.m, V, Vh))
-    w13 = 0.5 * A * p.alpha / Ch
-    w23 = 0.5 * (A * p.a * p.b12 / Ch + B * p.a_I * p.b21 / Ih - _over_product(B * p.alpha * V, I, Ih))
+    w12 = -0.5 * (_over_product(B * alpha * Ch, I, Ih) + _over_product(D * k * p.m, V, Vh))
+    w13 = 0.5 * A * alpha / Ch
+    w23 = 0.5 * (A * p.a * p.b12 / Ch + B * p.a_I * p.b21 / Ih - _over_product(B * alpha * V, I, Ih))
     return w11, w22, w33, w12, w13, w23
 
 
@@ -228,7 +229,8 @@ def omega_at(params: ModelParams, coeffs: LyapunovCoeffs, eq: Equilibrium, s: St
     _require_positive(s)
     pt = eq.point
     w11, w22, w33, w12, w13, w23 = _omega_entries(
-        params, coeffs.A, coeffs.B, coeffs.D, (pt.C, pt.I, pt.V), (s.C, s.I, s.V)
+        params, params.alpha, params.k, coeffs.A, coeffs.B, coeffs.D,
+        (pt.C, pt.I, pt.V), (s.C, s.I, s.V),
     )
     return OmegaForm(
         omega11=w11, omega22=w22, omega33=w33,
@@ -253,20 +255,22 @@ def condition4(
     _require_inner(eq)
     if not isinstance(variant, Condition4Variant):
         raise ParameterError(f"unknown condition variant {variant!r}")
-    lhs, rhs_as_written, rhs_corrected = _condition4_sides(params, eq)
+    pt = eq.point
+    lhs, rhs_as_written, rhs_corrected = _condition4_sides(params, params.alpha, pt.C, pt.I, pt.V)
     rhs = rhs_as_written if variant is Condition4Variant.AS_WRITTEN else rhs_corrected
     return Condition4Report(lhs=float(lhs), rhs=float(rhs), holds=bool(lhs > rhs), variant=variant)
 
 
-def _condition4_sides(params: ModelParams, eq: Equilibrium) -> Tuple[float, float, float]:
-    """condition4's lhs and its two right-hand sides (as written, corrected)."""
+def _condition4_sides(params: ModelParams, alpha, Ch, Ih, Vh) -> Tuple[float, float, float]:
+    """condition4's lhs and its two right-hand sides (as written,
+    corrected) at the equilibrium (Ch, Ih, Vh), with alpha in place of
+    params.alpha."""
     p = params
-    Ch, Ih, Vh = eq.point.C, eq.point.I, eq.point.V
     bracket_I = p.a_I * p.b22 - (1.0 / Ih) * p.a_I * (1.0 - p.b21 * Ch - p.b22 * Ih) + p.m
     bracket_C = p.a * p.b11 - (1.0 / Ch) * p.a * (1.0 - p.b11 * Ch - p.b12 * Ih)
     lhs = (bracket_I / Ih) * (bracket_C / Ch)
     cross = p.a * p.b12 / Ch + p.b21 / Ih
-    return lhs, 0.25 * _square(cross - Vh * Vh), 0.25 * _square(cross - p.alpha * Vh)
+    return lhs, 0.25 * _square(cross - Vh * Vh), 0.25 * _square(cross - alpha * Vh)
 
 
 def _square(x: float) -> float:
@@ -291,7 +295,9 @@ def search_coeffs(params: ModelParams, eq: Equilibrium) -> Optional[Tuple[Lyapun
     pt = (eq.point.C, eq.point.I, eq.point.V)
     # Overflow on the grid is expected at extreme rates; its NaNs are kept out of the argmax.
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = _omega_entries(params, _WEIGHTS[:, None], _WEIGHTS[None, :], 1.0, pt, pt)
+        entries = _omega_entries(
+            params, params.alpha, params.k, _WEIGHTS[:, None], _WEIGHTS[None, :], 1.0, pt, pt
+        )
         d1, d2, d3 = _minors(*entries)
         score = np.minimum(np.minimum(d1, d2), d3)  # broadcasts to (A, B) grid
     score[np.isnan(score)] = -np.inf
@@ -327,8 +333,10 @@ def _positive_run(c2, c1, c0):
     )
 
 
-def _grid_has_definite(params: ModelParams, eq: Equilibrium) -> bool:
-    """``search_coeffs(params, eq) is not None``, decided through Omega's algebra.
+def _grid_has_definite(params: ModelParams, alpha: float, k: float, pt: tuple) -> bool:
+    """``search_coeffs(p, eq) is not None``, decided through Omega's algebra,
+    for p = params with (alpha, k) in place of params.alpha and
+    params.k and eq the inner equilibrium at the point pt = (C, I, V).
 
     With D = 1 at the equilibrium, omega11 = sigma/V^^2 is constant,
     omega22 = g*B and omega12 = u*B + c (u, c <= 0) depend on B alone,
@@ -338,18 +346,18 @@ def _grid_has_definite(params: ModelParams, eq: Equilibrium) -> bool:
     set is one interval.
     Only the grid points inside them are evaluated, with the operations
     search_coeffs applies at that point, and the first definite one
-    decides.  Out of the closed forms' safe range the grid search runs.
+    decides.  All of this runs on plain floats; only out of the closed
+    forms' safe range are p and eq built, for the grid search.
     """
-    _require_inner(eq)
-    pt = (eq.point.C, eq.point.I, eq.point.V)
     # Every entry is linear in (A, B, D), and no entry holds both an A
     # and a D term, so two evaluations give each weight's part.
-    w11, _, h, c, e, f = _omega_entries(params, 1.0, 0.0, 1.0, pt, pt)
-    _, g, _, u, _, q = _omega_entries(params, 0.0, 1.0, 0.0, pt, pt)
+    w11, _, h, c, e, f = _omega_entries(params, alpha, k, 1.0, 0.0, 1.0, pt, pt)
+    _, g, _, u, _, q = _omega_entries(params, alpha, k, 0.0, 1.0, 0.0, pt, pt)
     # A NaN or inf part makes the sum fail the test as well.
     parts = (w11, g, h, u, c, e, f, q)
     if not (sum(map(abs, parts)) < _PART_MAX and min(w11 * g, w11 * g * h) > _SCALE_MIN):
-        return search_coeffs(params, eq) is not None
+        eq = Equilibrium(State(*pt), EquilibriumKind.INNER)
+        return search_coeffs(params.replace(alpha=alpha, k=k), eq) is not None
 
     # delta2(B) = w11*g*B - (u*B + c)^2
     b_run = _positive_run(-u * u, w11 * g - 2.0 * u * c, -c * c)
@@ -364,7 +372,7 @@ def _grid_has_definite(params: ModelParams, eq: Equilibrium) -> bool:
             -w11 * qB * qB,
         )
         for i in a_run:
-            d1, d2, d3 = _minors(*_omega_entries(params, _WEIGHT_LIST[i], B, 1.0, pt, pt))
+            d1, d2, d3 = _minors(*_omega_entries(params, alpha, k, _WEIGHT_LIST[i], B, 1.0, pt, pt))
             if d1 > 0.0 and d2 > 0.0 and d3 > 0.0:
                 return True
     return False

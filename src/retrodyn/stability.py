@@ -60,10 +60,11 @@ def classify_equilibrium(params: ModelParams, eq: Equilibrium) -> StabilityRepor
     return routh_hurwitz_cubic(char_cubic(jacobian(params, eq.point)))
 
 
-def _equilibrium_verdict(params: ModelParams, eq: Equilibrium) -> Verdict:
-    # classify_equilibrium(params, eq).verdict from the same kernels on
-    # floats, without the matrix and the two reports the sweep discards.
-    s = eq.point
-    cubic = _cubic_coeffs(*_jacobian_entries(params, params.alpha, params.k, s.C, s.I, s.V))
+def _equilibrium_verdict(params: ModelParams, alpha, k, C, I, V) -> Verdict:
+    # classify_equilibrium's verdict at the equilibrium (C, I, V) of
+    # params with (alpha, k) in place of params.alpha and params.k, from
+    # the same kernels on floats, without the matrix and the two reports
+    # the sweep discards.
+    cubic = _cubic_coeffs(*_jacobian_entries(params, alpha, k, C, I, V))
     _, unstable, stable = _hurwitz(*cubic)
     return _verdict(unstable, stable)

@@ -4,7 +4,10 @@ Every grid cell re-solves the model at (alpha, k) with the remaining
 parameters taken from a base set, then records whether the coexistence
 equilibrium exists and what the local and Lyapunov diagnostics say
 about it.  The map is one nested loop of ``evaluate_cell`` calls on
-Python floats.  A cell's equilibrium, Jacobian, characteristic cubic
+Python floats: a cell passes alpha, k and the equilibrium's (C, I, V)
+through the kernels as plain numbers, builds no ``ModelParams``,
+``Equilibrium`` or ``SweepCell``, and returns one of the cells shared
+by every map.  A cell's equilibrium, Jacobian, characteristic cubic
 and Routh-Hurwitz verdict come from kernels that take arrays of
 (alpha, k) as well, with the same bits, so these columns could move to
 whole-grid arrays; the map stays per cell only because the benchmark
@@ -27,13 +30,14 @@ to ``search_coeffs(...) is not None``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence, Tuple
 
-from .equilibria import inner_equilibrium
+from .equilibria import _inner_point, inner_equilibrium
 from .errors import ParameterError, _checked_float
 from .lyapunov import _condition4_sides, _grid_has_definite
-from .model import ModelParams
+from .model import _BOUND, ModelParams
 from .stability import Verdict, _equilibrium_verdict
 
 ALPHA_BISECT_LO = 1e-6
@@ -78,8 +82,14 @@ class SweepCell:
     cond4_corrected: Optional[bool]
 
 
-# The one cell without a coexistence equilibrium, shared by every such cell.
+# The one cell without a coexistence equilibrium, shared by every such
+# cell, and the 24 cells with one, keyed by (rh_verdict, sylvester_pd,
+# cond4_as_written, cond4_corrected): evaluate_cell builds no cell.
 _ABSENT = SweepCell(False, None, None, None, None)
+_INNER = {
+    key: SweepCell(True, *key)
+    for key in itertools.product(Verdict, (False, True), (False, True), (False, True))
+}
 
 
 @dataclass
@@ -118,20 +128,27 @@ def _csv_bool(flag: bool) -> str:
 def evaluate_cell(base: ModelParams, alpha: float, k: float) -> SweepCell:
     """Full diagnostic battery for a single (alpha, k) combination.
 
+    The cell is that of p = ``base.replace(alpha=alpha, k=k)``: alpha
+    and k are checked as ``replace`` checks them, alpha first, and the
+    error is the same.  No ``ModelParams``, ``Equilibrium`` or cell is
+    built: (alpha, k) and the equilibrium's (C, I, V) pass as floats
+    through the kernels, and the result is one of the shared cells.
+
     ``sylvester_pd`` is ``search_coeffs(p, eq) is not None``.  It is
     false at an Unstable cell by Lyapunov's theorem (a definite
     Omega = -sym(P*J) at the equilibrium makes J Hurwitz), decided
     without the weight grid; elsewhere ``lyapunov._grid_has_definite``
     decides it without searching the whole grid.
     """
-    p = base.replace(alpha=alpha, k=k)
-    eq = inner_equilibrium(p)
-    if eq is None:
+    alpha = _checked_float("alpha", alpha, _BOUND["alpha"])
+    k = _checked_float("k", k, _BOUND["k"])
+    pt = _inner_point(base, alpha, k)
+    if pt is None:
         return _ABSENT
-    verdict = _equilibrium_verdict(p, eq)
-    definite = verdict is not Verdict.UNSTABLE and _grid_has_definite(p, eq)
-    lhs, rhs_as_written, rhs_corrected = _condition4_sides(p, eq)
-    return SweepCell(True, verdict, definite, lhs > rhs_as_written, lhs > rhs_corrected)
+    verdict = _equilibrium_verdict(base, alpha, k, *pt)
+    definite = verdict is not Verdict.UNSTABLE and _grid_has_definite(base, alpha, k, pt)
+    lhs, rhs_as_written, rhs_corrected = _condition4_sides(base, alpha, *pt)
+    return _INNER[verdict, definite, lhs > rhs_as_written, lhs > rhs_corrected]
 
 
 def _anchored_rectangle(stable) -> Optional[Tuple[int, int]]:
@@ -192,9 +209,11 @@ def find_alpha_margin(base: ModelParams, k_fixed: float, alpha_hi: float) -> Opt
     alpha_hi = _checked_float("alpha_hi", alpha_hi, ">", ALPHA_BISECT_LO)
 
     def stable_at(alpha: float) -> bool:
-        p = base.replace(alpha=alpha, k=k_fixed)
-        eq = inner_equilibrium(p)
-        return eq is not None and _equilibrium_verdict(p, eq) is Verdict.STABLE
+        eq = inner_equilibrium(base.replace(alpha=alpha, k=k_fixed))
+        if eq is None:
+            return False
+        s = eq.point
+        return _equilibrium_verdict(base, alpha, k_fixed, s.C, s.I, s.V) is Verdict.STABLE
 
     if not stable_at(ALPHA_BISECT_LO):
         return None

@@ -102,6 +102,11 @@ def state_near(rng, point, spread):
     )
 
 
+def eq_point(eq):
+    """An equilibrium's point as the floats (C, I, V) the sweep kernels take."""
+    return (eq.point.C, eq.point.I, eq.point.V)
+
+
 def fd_jacobian(params, s, h=1e-6):
     """Central finite differences of vector_field, column by column."""
     J = np.empty((3, 3))

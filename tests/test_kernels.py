@@ -14,7 +14,7 @@ from retrodyn.equilibria import _cramer_solution, _reduced_system
 from retrodyn.model import PARAM_NAMES, _cubic_coeffs, _jacobian_entries
 from retrodyn.stability import _equilibrium_verdict, _hurwitz
 
-from conftest import sample_params
+from conftest import eq_point, sample_params
 
 
 def _assert_same(floats, arrays):
@@ -95,5 +95,5 @@ def test_unstable_equilibrium_has_no_definite_form(seed, time, population, alpha
             p = _scaled(base.replace(alpha=alpha, k=k), time, ("a", "a_I", "m", "sigma", "alpha"))
             p = _scaled(p, population, ("b11", "b12", "b21", "b22", "alpha"))
             eq = inner_equilibrium(p)
-            if eq is not None and _equilibrium_verdict(p, eq) is Verdict.UNSTABLE:
+            if eq is not None and _equilibrium_verdict(p, p.alpha, p.k, *eq_point(eq)) is Verdict.UNSTABLE:
                 assert search_coeffs(p, eq) is None, p

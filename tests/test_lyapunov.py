@@ -26,7 +26,7 @@ from retrodyn import (
 import retrodyn.lyapunov
 from retrodyn.lyapunov import _WEIGHTS, _grid_has_definite, _positive_run
 
-from conftest import sample_params, sample_params_mild, state_near
+from conftest import eq_point, sample_params, sample_params_mild, state_near
 
 ONES = LyapunovCoeffs(1.0, 1.0, 1.0)
 
@@ -335,7 +335,7 @@ def test_grid_has_definite_matches_search(p1, p2, p_unstable):
         if eq is None:
             continue
         want = search_coeffs(p, eq) is not None
-        assert _grid_has_definite(p, eq) is want, p
+        assert _grid_has_definite(p, p.alpha, p.k, eq_point(eq)) is want, p
         outcomes.append(want)
     assert len(outcomes) > 2500 and 0 < sum(outcomes) < len(outcomes)
 
@@ -347,10 +347,10 @@ def test_grid_has_definite_skips_the_grid_search(p1, p2, p_unstable, monkeypatch
 
     monkeypatch.setattr(retrodyn.lyapunov, "search_coeffs", refuse)
     for p in (p1, p2, p_unstable, _rates_times(p2, 1e-5), _rates_times(p2, 1e20)):
-        _grid_has_definite(p, inner_equilibrium(p))
+        _grid_has_definite(p, p.alpha, p.k, eq_point(inner_equilibrium(p)))
     p = _rates_times(p2, 1e103)
     with pytest.raises(AssertionError, match="fell back"):
-        _grid_has_definite(p, inner_equilibrium(p))
+        _grid_has_definite(p, p.alpha, p.k, eq_point(inner_equilibrium(p)))
 
 
 def test_search_unstable_exemplar_absent(p_unstable):

@@ -6,8 +6,11 @@ import pytest
 
 from retrodyn import (
     Condition4Variant,
+    Equilibrium,
+    EquilibriumKind,
     ModelParams,
     ParameterError,
+    State,
     SweepCell,
     SweepGrid,
     Verdict,
@@ -19,11 +22,13 @@ from retrodyn import (
     search_coeffs,
     stability_map,
 )
+import retrodyn.lyapunov
 import retrodyn.sweep
-from retrodyn.sweep import _anchored_rectangle
+from retrodyn.sweep import _ABSENT, _INNER, _anchored_rectangle
 
 from conftest import sample_params
 from test_acceptance import _family_maps
+from test_kernels import _scaled
 
 # Frozen: bisection endpoint for the P2 base at k = 1 (the analytic
 # loss-of-stability point is 37/15, resolved here to the 5e-6 stop).
@@ -75,10 +80,41 @@ def test_evaluate_cell_matches_components(p2):
     assert cell.cond4_corrected == condition4(p, eq, Condition4Variant.CORRECTED).holds
 
 
+@pytest.mark.parametrize(
+    "alpha, k",
+    [(-1.0, 1.0), (True, 1.0), (float("nan"), 1.0), (float("inf"), 1.0), ("x", 1.0),
+     (10**400, 1.0), (0.5, 0.0), (0.5, -1.0), (-1.0, 0.0)],
+)
+def test_evaluate_cell_checks_inputs_as_replace_does(p2, alpha, k):
+    # the same ParameterError as base.replace(alpha=alpha, k=k), alpha first
+    with pytest.raises(ParameterError) as want:
+        p2.replace(alpha=alpha, k=k)
+    with pytest.raises(ParameterError) as got:
+        evaluate_cell(p2, alpha, k)
+    assert str(got.value) == str(want.value)
+
+
+def test_map_builds_no_params_equilibrium_or_cell(p2, monkeypatch):
+    # Each cell passes floats through the kernels and returns a shared
+    # cell; nothing is built per cell while the closed forms are in range.
+    grid = SweepGrid(base=p2, alpha_values=log_axis(0.01, 10.0, 24), k_values=log_axis(0.1, 100.0, 24))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an object for a cell")
+
+    monkeypatch.setattr(ModelParams, "replace", refuse)
+    monkeypatch.setattr(retrodyn.sweep, "inner_equilibrium", refuse)
+    monkeypatch.setattr(SweepCell, "__init__", refuse)
+    cells = [c for row in stability_map(grid).cells for c in row]
+    assert all(c is _ABSENT or c is _INNER[c.rh_verdict, c.sylvester_pd, c.cond4_as_written, c.cond4_corrected]
+               for c in cells)
+    assert len({id(c) for c in cells}) >= 4
+
+
 def test_unstable_cell_skips_the_weight_grid(p2, p_unstable, monkeypatch):
     # A definite Omega = -sym(P*J) at the equilibrium (P positive
     # diagonal) makes J Hurwitz, so an Unstable cell needs no weight grid.
-    def refuse(p, eq):
+    def refuse(p, alpha, k, pt):
         raise AssertionError("searched the weight grid")
 
     monkeypatch.setattr(retrodyn.sweep, "_grid_has_definite", refuse)
@@ -158,6 +194,27 @@ def test_map_matches_per_cell_calls(p2):
                          alpha_values=_random_log_axis(rng, n_alpha or int(rng.integers(2, 10))),
                          k_values=_random_log_axis(rng, n_k or int(rng.integers(2, 10))))
         _assert_map_matches_cells(grid)
+
+
+def test_map_matches_per_cell_calls_on_rescaled_bases(monkeypatch):
+    # Rates and populations rescaled by 10^U(-150, 150), alpha by both
+    # factors: far from 1 the closed forms leave their safe range, and
+    # _grid_has_definite rebuilds the cell's parameters and equilibrium
+    # for search_coeffs, compared here cell by cell with the components.
+    fallbacks = []
+    search = retrodyn.lyapunov.search_coeffs
+    monkeypatch.setattr(retrodyn.lyapunov, "search_coeffs",
+                        lambda p, eq: fallbacks.append(p) or search(p, eq))
+    rng = np.random.default_rng(97)
+    for _ in range(120):
+        time, population = 10.0 ** rng.uniform(-150.0, 150.0, 2)
+        base = _scaled(sample_params(rng), time, ("a", "a_I", "m", "sigma", "alpha"))
+        base = _scaled(base, population, ("b11", "b12", "b21", "b22", "alpha"))
+        alphas = [alpha * time * population for alpha in _random_log_axis(rng, int(rng.integers(2, 8)))]
+        grid = SweepGrid(base=base, alpha_values=alphas,
+                         k_values=_random_log_axis(rng, int(rng.integers(2, 8))))
+        _assert_map_matches_cells(grid)
+    assert fallbacks
 
 
 _P2 = dict(a=1, a_I=2, b11=1, b12=0.1, b21=0.1, b22=1, alpha=0.5, m=0.5, k=1, sigma=1)
@@ -304,8 +361,12 @@ def test_map_csv_matches_grid_search(monkeypatch):
                            alpha_values=log_axis(0.002, 10.0, 16),
                            k_values=log_axis(0.02, 100.0, 16)))
     fast = [_map_csv(grid) for grid in grids]
-    monkeypatch.setattr(retrodyn.sweep, "_grid_has_definite",
-                        lambda p, eq: search_coeffs(p, eq) is not None)
+
+    def grid_search(base, alpha, k, pt):
+        eq = Equilibrium(State(*pt), EquilibriumKind.INNER)
+        return search_coeffs(base.replace(alpha=alpha, k=k), eq) is not None
+
+    monkeypatch.setattr(retrodyn.sweep, "_grid_has_definite", grid_search)
     assert [_map_csv(grid) for grid in grids] == fast
     assert ",true,true," in fast[-1] and ",true,false," in fast[-1]
 
