@@ -8,7 +8,8 @@ is asymptotically stable.  This script
 
   1. verifies the -dW/dt == quadratic-form identity at random states,
   2. searches the weight grid for a definite form,
-  3. reports the scalar sufficient condition in both variants,
+  3. reports the paper's scalar condition 4 in both variants (not a
+     sufficient condition: it holds at the unstable set below too),
 
 once for a stable parameter set and once for an unstable one, where
 the search must come back empty-handed.

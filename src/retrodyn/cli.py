@@ -238,7 +238,7 @@ def _parser() -> argparse.ArgumentParser:
         "--variant",
         choices=[v.value for v in Condition4Variant],
         default=Condition4Variant.CORRECTED.value,
-        help="which form of the scalar sufficient condition to report",
+        help="which form of the paper's condition 4 (not a sufficient condition) to report",
     )
     return parser
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParameterError
-from .model import ModelParams, State, vector_field
+from .model import ModelParams, State, _rhs
 
 # Inner solutions this close to (or past) the octant boundary are
 # reported as absent rather than returned as spurious equilibria.
@@ -44,8 +44,7 @@ class Equilibrium:
 
 def residual(params: ModelParams, point: State) -> float:
     """Max-norm of the vector field at ``point`` (0 for an exact equilibrium)."""
-    d = vector_field(params, point)
-    return max(abs(d.dC), abs(d.dI), abs(d.dV))
+    return max(map(abs, _rhs(params, point.C, point.I, point.V)))
 
 
 def _over_product(x, u, v, w=1.0):

@@ -23,9 +23,10 @@ through the occupied populations:
 Positive definiteness of Omega (checked through the leading principal
 minors, Sylvester's criterion) at the equilibrium certifies local
 asymptotic stability only: no routine estimates a basin of attraction.
-A scalar sufficient condition on the equilibrium alone ("condition4")
+The paper's scalar condition 4 on the equilibrium alone ("condition4")
 and a grid search for weights that make Omega definite are also
-provided.
+provided.  Condition 4 is not a sufficient condition: it can hold at an
+unstable equilibrium, where no weights make Omega definite.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def _require_inner(eq: Equilibrium):
 
 
 def _require_positive(s: State):
-    if not (s.C > 0.0 and s.I > 0.0 and s.V > 0.0):
+    if not (0.0 < s.C < math.inf and 0.0 < s.I < math.inf and 0.0 < s.V < math.inf):
         raise DomainError(f"state must lie in the open positive octant, got {s!r}")
 
 
@@ -227,16 +228,17 @@ def omega_at(params: ModelParams, coeffs: LyapunovCoeffs, eq: Equilibrium, s: St
     """Coefficient matrix of the quadratic form -dW/dt at state ``s``."""
     _require_inner(eq)
     _require_positive(s)
-    pt = eq.point
-    w11, w22, w33, w12, w13, w23 = _omega_entries(
+    return _form(params, coeffs, eq.point, s)
+
+
+def _form(params, coeffs, pt, s):
+    # Unchecked: search_coeffs evaluates at an inner point that may hold an
+    # overflowed (inf) coordinate, which only leaves Omega indefinite.
+    entries = _omega_entries(
         params, params.alpha, params.k, coeffs.A, coeffs.B, coeffs.D,
         (pt.C, pt.I, pt.V), (s.C, s.I, s.V),
     )
-    return OmegaForm(
-        omega11=w11, omega22=w22, omega33=w33,
-        omega12=w12, omega13=w13, omega23=w23,
-        evaluated_at=s,
-    )
+    return OmegaForm(*entries, evaluated_at=s)
 
 
 def condition4(
@@ -244,13 +246,14 @@ def condition4(
     eq: Equilibrium,
     variant: Condition4Variant = Condition4Variant.CORRECTED,
 ) -> Condition4Report:
-    """Scalar sufficient condition for definiteness of Omega at the equilibrium.
+    """The paper's scalar condition 4 at the equilibrium.
 
     Compares a product of the two diagonal self-limitation brackets
     (lhs) against a squared cross-coupling term (rhs); ``holds`` means
     lhs > rhs.  The AS_WRITTEN variant squares (a*b12/C^ + b21/I^
-    - V^2); CORRECTED replaces V^2 by alpha*V^, which restores the
-    units of the other two summands.
+    - V^2); CORRECTED replaces V^2 by alpha*V^.  Neither variant is
+    sufficient for a definite Omega: where both brackets are negative
+    their product is positive, and it can hold at an unstable equilibrium.
     """
     _require_inner(eq)
     if not isinstance(variant, Condition4Variant):
@@ -292,22 +295,23 @@ def search_coeffs(params: ModelParams, eq: Equilibrium) -> Optional[Tuple[Lyapun
     min(delta1..3) <= 0.
     """
     _require_inner(eq)
-    pt = (eq.point.C, eq.point.I, eq.point.V)
-    # Overflow on the grid is expected at extreme rates; its NaNs are kept out of the argmax.
-    with np.errstate(over="ignore", invalid="ignore"):
-        entries = _omega_entries(
-            params, params.alpha, params.k, _WEIGHTS[:, None], _WEIGHTS[None, :], 1.0, pt, pt
-        )
-        d1, d2, d3 = _minors(*entries)
-        score = np.minimum(np.minimum(d1, d2), d3)  # broadcasts to (A, B) grid
-    score[np.isnan(score)] = -np.inf
-
+    score = _grid_scores(params, params.alpha, params.k, (eq.point.C, eq.point.I, eq.point.V))
     i, j = divmod(int(np.argmax(score)), len(_WEIGHTS))
     coeffs = LyapunovCoeffs(A=float(_WEIGHTS[i]), B=float(_WEIGHTS[j]), D=1.0)
-    form = omega_at(params, coeffs, eq, eq.point)
-    if not form.positive_definite:
-        return None
-    return coeffs, form
+    form = _form(params, coeffs, eq.point, eq.point)
+    return (coeffs, form) if form.positive_definite else None
+
+
+def _grid_scores(params: ModelParams, alpha: float, k: float, pt: tuple) -> np.ndarray:
+    # min(delta1..3) at the equilibrium pt = (C, I, V) over the weights
+    # (A by row, B by column, D = 1), with (alpha, k) in place of
+    # params.alpha and params.k.  Overflow NaNs at extreme rates read -inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = _omega_entries(params, alpha, k, _WEIGHTS[:, None], _WEIGHTS[None, :], 1.0, pt, pt)
+        d1, d2, d3 = _minors(*entries)
+        score = np.minimum(np.minimum(d1, d2), d3)
+    score[np.isnan(score)] = -np.inf
+    return score
 
 
 def _positive_run(c2, c1, c0):
@@ -346,8 +350,8 @@ def _grid_has_definite(params: ModelParams, alpha: float, k: float, pt: tuple) -
     set is one interval.
     Only the grid points inside them are evaluated, with the operations
     search_coeffs applies at that point, and the first definite one
-    decides.  All of this runs on plain floats; only out of the closed
-    forms' safe range are p and eq built, for the grid search.
+    decides.  All of this runs on plain floats; out of the closed forms'
+    safe range the whole grid is scored as search_coeffs scores it.
     """
     # Every entry is linear in (A, B, D), and no entry holds both an A
     # and a D term, so two evaluations give each weight's part.
@@ -356,8 +360,7 @@ def _grid_has_definite(params: ModelParams, alpha: float, k: float, pt: tuple) -
     # A NaN or inf part makes the sum fail the test as well.
     parts = (w11, g, h, u, c, e, f, q)
     if not (sum(map(abs, parts)) < _PART_MAX and min(w11 * g, w11 * g * h) > _SCALE_MIN):
-        eq = Equilibrium(State(*pt), EquilibriumKind.INNER)
-        return search_coeffs(params.replace(alpha=alpha, k=k), eq) is not None
+        return bool(_grid_scores(params, alpha, k, pt).max() > 0.0)
 
     # delta2(B) = w11*g*B - (u*B + c)^2
     b_run = _positive_run(-u * u, w11 * g - 2.0 * u * c, -c * c)

@@ -9,6 +9,10 @@ The three left-hand sides are reported as margins; a margin inside the
 band [-MARGINAL_TOL, MARGINAL_TOL] makes the verdict Marginal rather
 than committing to either side, and so does a NaN margin when no other
 margin is clearly negative.
+
+Every verdict on an equilibrium, from ``classify_equilibrium`` or a
+sweep cell, takes its cubic from the float kernels ``_jacobian_entries``
+and ``_cubic_coeffs``: the bits of ``char_cubic(jacobian(...))``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import enum
 from dataclasses import dataclass
 
 from .equilibria import Equilibrium
-from .model import CubicCoeffs, ModelParams, _cubic_coeffs, _jacobian_entries, char_cubic, jacobian
+from .model import CubicCoeffs, ModelParams, _cubic_coeffs, _jacobian_entries
 
 MARGINAL_TOL = 1e-12
 
@@ -57,14 +61,15 @@ def routh_hurwitz_cubic(cubic: CubicCoeffs) -> StabilityReport:
 
 def classify_equilibrium(params: ModelParams, eq: Equilibrium) -> StabilityReport:
     """Routh-Hurwitz verdict for the linearization at an equilibrium."""
-    return routh_hurwitz_cubic(char_cubic(jacobian(params, eq.point)))
+    s = eq.point  # may hold numpy scalars (a trajectory's row); the report holds floats
+    entries = _jacobian_entries(params, params.alpha, params.k, float(s.C), float(s.I), float(s.V))
+    return routh_hurwitz_cubic(CubicCoeffs(*_cubic_coeffs(*entries)))
 
 
 def _equilibrium_verdict(params: ModelParams, alpha, k, C, I, V) -> Verdict:
     # classify_equilibrium's verdict at the equilibrium (C, I, V) of
-    # params with (alpha, k) in place of params.alpha and params.k, from
-    # the same kernels on floats, without the matrix and the two reports
-    # the sweep discards.
+    # params with (alpha, k) in place of params.alpha and params.k,
+    # without the report the sweep discards.
     cubic = _cubic_coeffs(*_jacobian_entries(params, alpha, k, C, I, V))
     _, unstable, stable = _hurwitz(*cubic)
     return _verdict(unstable, stable)

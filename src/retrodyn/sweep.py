@@ -3,18 +3,17 @@
 Every grid cell re-solves the model at (alpha, k) with the remaining
 parameters taken from a base set, then records whether the coexistence
 equilibrium exists and what the local and Lyapunov diagnostics say
-about it.  The map is one nested loop of ``evaluate_cell`` calls on
-Python floats: a cell passes alpha, k and the equilibrium's (C, I, V)
-through the kernels as plain numbers, builds no ``ModelParams``,
-``Equilibrium`` or ``SweepCell``, and returns one of the cells shared
-by every map.  A cell's equilibrium, Jacobian, characteristic cubic
-and Routh-Hurwitz verdict come from kernels that take arrays of
-(alpha, k) as well, with the same bits, so these columns could move to
-whole-grid arrays; the map stays per cell only because the benchmark
-counts sweep cells through ``evaluate_cell`` calls.  ``sylvester_pd``
-and condition 4 stay per cell.  Condition 4 squares with libm's
-``x ** 2``; numpy's squares differ from it in the last bit on some
-arguments, and that bit can flip ``lhs > rhs``.
+about it.  A map cell (``evaluate_cell``) and a probe of
+``find_alpha_margin`` take one path on Python floats: alpha, k and the
+equilibrium's (C, I, V) pass through the kernels behind
+``inner_equilibrium``, ``classify_equilibrium``, ``search_coeffs`` and
+``condition4``, and no ``ModelParams``, ``Equilibrium``, ``State`` or
+``SweepCell`` is built; a cell is one of the cells shared by every map.
+The equilibrium and verdict kernels take arrays of (alpha, k) as well,
+with the same bits; the map stays per cell only because the benchmark
+counts sweep cells through ``evaluate_cell`` calls.  Condition 4 stays
+per cell: it squares with libm's ``x ** 2``, from which numpy's squares
+differ in the last bit on some arguments, which can flip ``lhs > rhs``.
 
 A cell's ``sylvester_pd`` asks whether the weight grid of
 ``search_coeffs`` holds a definite form.  At the equilibrium
@@ -34,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence, Tuple
 
-from .equilibria import _inner_point, inner_equilibrium
+from .equilibria import _inner_point
 from .errors import ParameterError, _checked_float
 from .lyapunov import _condition4_sides, _grid_has_definite
 from .model import _BOUND, ModelParams
@@ -66,6 +65,8 @@ class SweepGrid:
     k_values: tuple
 
     def __post_init__(self):
+        if not isinstance(self.base, ModelParams):
+            raise ParameterError(f"base must be a ModelParams, got {self.base!r}")
         object.__setattr__(self, "alpha_values", _check_axis("alpha_values", self.alpha_values))
         object.__setattr__(self, "k_values", _check_axis("k_values", self.k_values))
 
@@ -130,15 +131,9 @@ def evaluate_cell(base: ModelParams, alpha: float, k: float) -> SweepCell:
 
     The cell is that of p = ``base.replace(alpha=alpha, k=k)``: alpha
     and k are checked as ``replace`` checks them, alpha first, and the
-    error is the same.  No ``ModelParams``, ``Equilibrium`` or cell is
-    built: (alpha, k) and the equilibrium's (C, I, V) pass as floats
-    through the kernels, and the result is one of the shared cells.
-
-    ``sylvester_pd`` is ``search_coeffs(p, eq) is not None``.  It is
-    false at an Unstable cell by Lyapunov's theorem (a definite
-    Omega = -sym(P*J) at the equilibrium makes J Hurwitz), decided
-    without the weight grid; elsewhere ``lyapunov._grid_has_definite``
-    decides it without searching the whole grid.
+    error is the same.  The result is one of the shared cells, and its
+    ``sylvester_pd`` is ``search_coeffs(p, eq) is not None``, decided
+    as the module docstring says.
     """
     alpha = _checked_float("alpha", alpha, _BOUND["alpha"])
     k = _checked_float("k", k, _BOUND["k"])
@@ -209,11 +204,8 @@ def find_alpha_margin(base: ModelParams, k_fixed: float, alpha_hi: float) -> Opt
     alpha_hi = _checked_float("alpha_hi", alpha_hi, ">", ALPHA_BISECT_LO)
 
     def stable_at(alpha: float) -> bool:
-        eq = inner_equilibrium(base.replace(alpha=alpha, k=k_fixed))
-        if eq is None:
-            return False
-        s = eq.point
-        return _equilibrium_verdict(base, alpha, k_fixed, s.C, s.I, s.V) is Verdict.STABLE
+        pt = _inner_point(base, alpha, k_fixed)
+        return pt is not None and _equilibrium_verdict(base, alpha, k_fixed, *pt) is Verdict.STABLE
 
     if not stable_at(ALPHA_BISECT_LO):
         return None

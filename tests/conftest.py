@@ -8,7 +8,7 @@ coexistence equilibrium is clearly unstable (Hurwitz margin < -1e-2).
 import numpy as np
 import pytest
 
-from retrodyn import ModelParams, State, vector_field
+from retrodyn import Equilibrium, LyapunovCoeffs, ModelParams, OmegaForm, State, vector_field
 
 # One line per acceptance check, echoed after the test summary so the
 # verdicts land in the run log (stdout capture would swallow them).
@@ -105,6 +105,28 @@ def state_near(rng, point, spread):
 def eq_point(eq):
     """An equilibrium's point as the floats (C, I, V) the sweep kernels take."""
     return (eq.point.C, eq.point.I, eq.point.V)
+
+
+def counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call appends its positional
+    arguments to the list returned."""
+    calls = []
+    func = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or func(*args))
+    return calls
+
+
+def refuse_objects(monkeypatch, *classes):
+    """Make building a ModelParams (directly or by ``replace``), an
+    Equilibrium, a State, LyapunovCoeffs, an OmegaForm or any of
+    ``classes`` raise AssertionError, so code run under it is shown to
+    work on plain floats."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an object")
+
+    for cls in (ModelParams, Equilibrium, State, LyapunovCoeffs, OmegaForm) + classes:
+        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(ModelParams, "replace", refuse)
 
 
 def fd_jacobian(params, s, h=1e-6):

@@ -41,10 +41,10 @@ P3 = ModelParams(a=1, a_I=1, b11=1, b12=0, b21=0, b22=1, alpha=0, m=2, k=1, sigm
 PU = ModelParams(a=1, a_I=0.5, b11=0.1, b12=0.01, b21=0.01, b22=0.1,
                  alpha=2, m=2, k=30, sigma=0.2)
 
-# Parameter families for the stability-region reproduction: the scalar
-# sufficient condition holds at each base point, and the swept
-# (alpha, k) rectangle anchored at the smallest corner stays entirely
-# in the locally stable regime.
+# Parameter families for the stability-region reproduction: the paper's
+# condition 4 (not a sufficient condition) holds at each base point, and
+# the swept (alpha, k) rectangle anchored at the smallest corner stays
+# entirely in the locally stable regime.
 FAMILIES = {
     "generic": P2,
     "weak-cross-coupling": ModelParams(a=1, a_I=2, b11=1, b12=0, b21=0, b22=1,

@@ -324,6 +324,16 @@ def test_nan_inner_equilibrium_is_absent(tmp_path, capsys):
     assert "no coexistence equilibrium" in err
 
 
+def test_stability_at_an_overflowed_inner_point(tmp_path, capsys):
+    # V^ overflows to inf: the weight search finds nothing, and the
+    # report is still printed as strict JSON
+    cfg = write_config(tmp_path, {"params": dict(P1, k=1e300, sigma=1e-10)})
+    code, out, err = run_cli(["--config", cfg, "stability"], capsys)
+    assert (code, err) == (1, "")
+    rec = json.loads(out, parse_constant=_reject_constant)
+    assert rec["coefficient_search"]["found"] is False
+
+
 _TINY_PRODUCTS = {"a": 3e-188, "a_I": 5.98, "b11": 9.1, "b12": 4.08, "b21": 1.47, "b22": 1.22,
                   "alpha": 3.67, "m": 4.42, "k": 4.66, "sigma": 1.5e-295}
 

@@ -26,7 +26,7 @@ from retrodyn import (
 import retrodyn.lyapunov
 from retrodyn.lyapunov import _WEIGHTS, _grid_has_definite, _positive_run
 
-from conftest import eq_point, sample_params, sample_params_mild, state_near
+from conftest import counting, eq_point, refuse_objects, sample_params, sample_params_mild, state_near
 
 ONES = LyapunovCoeffs(1.0, 1.0, 1.0)
 
@@ -258,11 +258,11 @@ def test_condition4_variants_coincide_at_fixed_point(p2):
     assert r_aw.rhs == r_co.rhs
 
 
-def test_condition4_is_not_necessary(p_unstable):
+def test_condition4_is_not_sufficient(p_unstable):
     # Faithful evaluation: both brackets of the lhs flip sign here, so
     # their product is positive and the inequality "holds" even though
-    # the equilibrium itself is unstable.  The condition is only a
-    # sufficient test and only meaningful alongside the minors.
+    # the equilibrium itself is unstable.  The condition is not
+    # sufficient and only meaningful alongside the minors.
     eq = inner_equilibrium(p_unstable)
     rep = classify_equilibrium(p_unstable, eq)
     assert rep.verdict is Verdict.UNSTABLE
@@ -341,16 +341,20 @@ def test_grid_has_definite_matches_search(p1, p2, p_unstable):
 
 
 def test_grid_has_definite_skips_the_grid_search(p1, p2, p_unstable, monkeypatch):
-    # in range the closed forms decide alone; only overflow needs the grid
-    def refuse(params, eq):
-        raise AssertionError("fell back to search_coeffs")
-
-    monkeypatch.setattr(retrodyn.lyapunov, "search_coeffs", refuse)
-    for p in (p1, p2, p_unstable, _rates_times(p2, 1e-5), _rates_times(p2, 1e20)):
-        _grid_has_definite(p, p.alpha, p.k, eq_point(inner_equilibrium(p)))
-    p = _rates_times(p2, 1e103)
-    with pytest.raises(AssertionError, match="fell back"):
-        _grid_has_definite(p, p.alpha, p.k, eq_point(inner_equilibrium(p)))
+    # In range the closed forms decide alone; only overflow scores the
+    # whole weight grid.  Neither path builds a parameter set, an
+    # equilibrium, a state, weights or a form, and both give the answer
+    # of search_coeffs.
+    far = [_rates_times(p2, 1e101), _rates_times(p2, 1e103), _rates_times(p_unstable, 1e103)]
+    cases = [p1, p2, p_unstable, _rates_times(p2, 1e-5), _rates_times(p2, 1e20)] + far
+    cases = [(p, inner_equilibrium(p)) for p in cases]
+    want = [search_coeffs(p, eq) is not None for p, eq in cases]
+    scored = counting(monkeypatch, retrodyn.lyapunov, "_grid_scores")
+    refuse_objects(monkeypatch)
+    got = [_grid_has_definite(p, p.alpha, p.k, eq_point(eq)) for p, eq in cases]
+    assert got == want
+    assert all(type(g) is bool for g in got)
+    assert [args[0] for args in scored] == far and want[-3:] == [True, True, False]
 
 
 def test_search_unstable_exemplar_absent(p_unstable):
@@ -367,6 +371,30 @@ def test_minor_scaling(p2):
     assert scaled.delta1 == 2.0 * base.delta1
     assert scaled.delta2 == 4.0 * base.delta2
     assert scaled.delta3 == 8.0 * base.delta3
+
+
+def test_non_finite_states_rejected(p2):
+    # inf is no point of the open octant: W and dW/dt there read NaN
+    eq = inner_equilibrium(p2)
+    for s in (State(math.inf, 1.0, 1.0), State(1.0, math.inf, 1.0), State(1.0, 1.0, math.inf),
+              State(math.nan, 1.0, 1.0)):
+        with pytest.raises(DomainError, match="open positive octant"):
+            w_value(ONES, eq, s)
+        with pytest.raises(DomainError, match="open positive octant"):
+            w_dot(p2, ONES, eq, s)
+        with pytest.raises(DomainError, match="open positive octant"):
+            omega_at(p2, ONES, eq, s)
+
+
+def test_search_at_an_overflowed_inner_point(p1):
+    # V^ = k*m*I^/sigma overflows to inf while the point still counts as
+    # inner: the search answers None (no definite form) rather than
+    # rejecting the equilibrium's own point, as _grid_has_definite does.
+    p = p1.replace(k=1e300, sigma=1e-10)
+    eq = inner_equilibrium(p)
+    assert (eq.point.C, eq.point.I, eq.point.V) == (1.0, 0.5, math.inf)
+    assert search_coeffs(p, eq) is None
+    assert _grid_has_definite(p, p.alpha, p.k, eq_point(eq)) is False
 
 
 def test_inner_equilibrium_required(p1):

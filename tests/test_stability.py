@@ -3,7 +3,10 @@ import pytest
 
 from retrodyn import (
     CubicCoeffs,
+    Equilibrium,
+    State,
     Verdict,
+    all_equilibria,
     boundary_equilibria,
     char_cubic,
     classify_equilibrium,
@@ -12,7 +15,8 @@ from retrodyn import (
     routh_hurwitz_cubic,
 )
 
-from conftest import sample_params
+from conftest import eq_point, sample_params
+from test_kernels import _scaled
 
 # Frozen on first computation for the P2 inner equilibrium.
 P2_CUBIC = (3.4504337050805454, 3.5274741304785113, 1.1332094175960348)
@@ -116,8 +120,29 @@ def test_extinction_is_unstable():
 
 
 def test_classify_matches_direct_pipeline(p2):
-    eq = inner_equilibrium(p2)
-    via_parts = routh_hurwitz_cubic(char_cubic(jacobian(p2, eq.point)))
-    rep = classify_equilibrium(p2, eq)
-    assert rep.cubic == via_parts.cubic
-    assert rep.verdict is via_parts.verdict
+    # classify_equilibrium's float path against the matrix path it
+    # replaced, bit for bit: P2, sample_params draws, and the same draws
+    # with rates and populations rescaled by 10^U(-150, 150), at the inner
+    # and the boundary equilibria.
+    rng = np.random.default_rng(103)
+    cases = [p2]
+    for _ in range(400):
+        p = sample_params(rng)
+        time, population = 10.0 ** rng.uniform(-150.0, 150.0, 2)
+        scaled = _scaled(p, time, ("a", "a_I", "m", "sigma", "alpha"))
+        cases += [p, _scaled(scaled, population, ("b11", "b12", "b21", "b22", "alpha"))]
+    verdicts, nan_margins = set(), 0
+    for p in cases:
+        for eq in all_equilibria(p):
+            want = routh_hurwitz_cubic(char_cubic(jacobian(p, eq.point)))
+            # the same point held as numpy scalars, as a trajectory row gives it
+            as_numpy = Equilibrium(State(*np.array(eq_point(eq))), eq.kind)
+            for rep in (classify_equilibrium(p, eq), classify_equilibrium(p, as_numpy)):
+                cubic = (rep.cubic.p, rep.cubic.q, rep.cubic.r)
+                assert all(type(c) is float for c in cubic + rep.margins)
+                assert list(map(float.hex, cubic)) == list(map(float.hex, (want.cubic.p, want.cubic.q, want.cubic.r)))
+                assert list(map(float.hex, rep.margins)) == list(map(float.hex, want.margins)), (p, eq)
+                assert rep.verdict is want.verdict
+            verdicts.add(rep.verdict)
+            nan_margins += rep.margins[2] != rep.margins[2]
+    assert verdicts == set(Verdict) and nan_margins > 0

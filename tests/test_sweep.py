@@ -26,7 +26,7 @@ import retrodyn.lyapunov
 import retrodyn.sweep
 from retrodyn.sweep import _ABSENT, _INNER, _anchored_rectangle
 
-from conftest import sample_params
+from conftest import counting, refuse_objects, sample_params
 from test_acceptance import _family_maps
 from test_kernels import _scaled
 
@@ -40,6 +40,9 @@ def log_axis(lo, hi, n):
 
 
 def test_grid_validation(p2):
+    for base in (None, p2.__dict__, "p2"):
+        with pytest.raises(ParameterError, match="base"):
+            SweepGrid(base=base, alpha_values=(0.1,), k_values=(1.0,))
     with pytest.raises(ParameterError):
         SweepGrid(base=p2, alpha_values=(), k_values=(1.0,))
     with pytest.raises(ParameterError):
@@ -94,21 +97,33 @@ def test_evaluate_cell_checks_inputs_as_replace_does(p2, alpha, k):
     assert str(got.value) == str(want.value)
 
 
-def test_map_builds_no_params_equilibrium_or_cell(p2, monkeypatch):
+_P2 = dict(a=1, a_I=2, b11=1, b12=0.1, b21=0.1, b22=1, alpha=0.5, m=0.5, k=1, sigma=1)
+# P2 with every rate x 1e103: out of the closed forms' range, so a
+# cell's sylvester_pd scores the whole weight grid
+_P2_RATES_1E103 = {**_P2, **{name: 1e103 * _P2[name] for name in ("a", "a_I", "m", "sigma", "alpha")}}
+
+
+def test_map_builds_no_params_equilibrium_or_cell(monkeypatch):
     # Each cell passes floats through the kernels and returns a shared
-    # cell; nothing is built per cell while the closed forms are in range.
-    grid = SweepGrid(base=p2, alpha_values=log_axis(0.01, 10.0, 24), k_values=log_axis(0.1, 100.0, 24))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("built an object for a cell")
-
-    monkeypatch.setattr(ModelParams, "replace", refuse)
-    monkeypatch.setattr(retrodyn.sweep, "inner_equilibrium", refuse)
-    monkeypatch.setattr(SweepCell, "__init__", refuse)
-    cells = [c for row in stability_map(grid).cells for c in row]
-    assert all(c is _ABSENT or c is _INNER[c.rh_verdict, c.sylvester_pd, c.cond4_as_written, c.cond4_corrected]
-               for c in cells)
-    assert len({id(c) for c in cells}) >= 4
+    # cell: no parameter set, equilibrium, state, weights, form or cell
+    # is built, in the closed forms' range (P2) or out of it, where the
+    # whole weight grid is scored.
+    grids = [SweepGrid(ModelParams(**_P2), log_axis(0.01, 10.0, 24), log_axis(0.1, 100.0, 24)),
+             SweepGrid(ModelParams(**_P2_RATES_1E103), log_axis(1e101, 1e105, 6), log_axis(0.1, 10.0, 4))]
+    want = [stability_map(grid).cells for grid in grids]
+    points = counting(monkeypatch, retrodyn.sweep, "_inner_point")
+    scored = counting(monkeypatch, retrodyn.lyapunov, "_grid_scores")
+    refuse_objects(monkeypatch, SweepCell)
+    for grid, fallbacks, cells_want in zip(grids, (False, True), want):
+        del points[:], scored[:]
+        cells = stability_map(grid).cells
+        assert cells == cells_want
+        assert len(points) == len(grid.alpha_values) * len(grid.k_values)
+        assert bool(scored) is fallbacks
+        cells = [c for row in cells for c in row]
+        assert all(c is _ABSENT or c is _INNER[c.rh_verdict, c.sylvester_pd, c.cond4_as_written, c.cond4_corrected]
+                   for c in cells)
+        assert len({id(c) for c in cells}) >= 4
 
 
 def test_unstable_cell_skips_the_weight_grid(p2, p_unstable, monkeypatch):
@@ -199,12 +214,10 @@ def test_map_matches_per_cell_calls(p2):
 def test_map_matches_per_cell_calls_on_rescaled_bases(monkeypatch):
     # Rates and populations rescaled by 10^U(-150, 150), alpha by both
     # factors: far from 1 the closed forms leave their safe range, and
-    # _grid_has_definite rebuilds the cell's parameters and equilibrium
-    # for search_coeffs, compared here cell by cell with the components.
-    fallbacks = []
-    search = retrodyn.lyapunov.search_coeffs
-    monkeypatch.setattr(retrodyn.lyapunov, "search_coeffs",
-                        lambda p, eq: fallbacks.append(p) or search(p, eq))
+    # _grid_has_definite scores the whole weight grid as search_coeffs
+    # does, compared here cell by cell with the components.
+    scored = counting(monkeypatch, retrodyn.lyapunov, "_grid_scores")
+    fallbacks = 0
     rng = np.random.default_rng(97)
     for _ in range(120):
         time, population = 10.0 ** rng.uniform(-150.0, 150.0, 2)
@@ -213,11 +226,12 @@ def test_map_matches_per_cell_calls_on_rescaled_bases(monkeypatch):
         alphas = [alpha * time * population for alpha in _random_log_axis(rng, int(rng.integers(2, 8)))]
         grid = SweepGrid(base=base, alpha_values=alphas,
                          k_values=_random_log_axis(rng, int(rng.integers(2, 8))))
+        # only the map's own calls count, not the components' search_coeffs
+        before = len(scored)
+        stability_map(grid)
+        fallbacks += len(scored) - before
         _assert_map_matches_cells(grid)
     assert fallbacks
-
-
-_P2 = dict(a=1, a_I=2, b11=1, b12=0.1, b21=0.1, b22=1, alpha=0.5, m=0.5, k=1, sigma=1)
 
 
 @pytest.mark.parametrize(
@@ -239,8 +253,7 @@ _P2 = dict(a=1, a_I=2, b11=1, b12=0.1, b21=0.1, b22=1, alpha=0.5, m=0.5, k=1, si
               sigma=0.4131232564739269),
          (0.3, 0.6247555316198867, 1.2), (0.5, 0.8987712199209266, 1.8)),
         # P2 with every rate x 1e103: the cubic overflows, p*q - r is NaN
-        ({**_P2, **{name: 1e103 * _P2[name] for name in ("a", "a_I", "m", "sigma", "alpha")}},
-         log_axis(1e101, 1e105, 6), log_axis(0.1, 10.0, 4)),
+        (_P2_RATES_1E103, log_axis(1e101, 1e105, 6), log_axis(0.1, 10.0, 4)),
     ],
     ids=["cond4-overflow", "underflow", "det-zero", "consistent-singular", "nan-margins"],
 )
@@ -391,6 +404,41 @@ def test_alpha_margin_brackets_transition(p2):
 
     assert stable_at(margin)
     assert not stable_at(margin + 1e-4)
+
+
+def _margin_by_components(base, k_fixed, alpha_hi):
+    # find_alpha_margin's bisection, each probe from the public functions.
+    def stable_at(alpha):
+        p = base.replace(alpha=alpha, k=k_fixed)
+        eq = inner_equilibrium(p)
+        return eq is not None and classify_equilibrium(p, eq).verdict is Verdict.STABLE
+
+    if not stable_at(1e-6):
+        return None
+    if stable_at(alpha_hi):
+        return alpha_hi
+    lo, hi = 1e-6, alpha_hi
+    while hi - lo > 1e-6 * alpha_hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if stable_at(mid) else (lo, mid)
+    return lo
+
+
+def test_alpha_margin_probes_build_no_object(p2, p_unstable, monkeypatch):
+    # Each probe passes floats through the kernels, and the bisection
+    # ends where one probing through the public functions ends.
+    rng = np.random.default_rng(101)
+    cases = [(p2, 1.0, 5.0), (p2, 1.0, 2.0), (p_unstable, 30.0, 5.0)]
+    cases += [(sample_params(rng), float(10.0 ** rng.uniform(-2.0, 2.0)), float(10.0 ** rng.uniform(-1.0, 2.0)))
+              for _ in range(60)]
+    want = [_margin_by_components(*case) for case in cases]
+    probes = counting(monkeypatch, retrodyn.sweep, "_inner_point")
+    refuse_objects(monkeypatch)
+    assert find_alpha_margin(*cases[0]) == P2_ALPHA_MARGIN_AT_K1 and len(probes) > 20
+    got = [find_alpha_margin(*case) for case in cases]
+    assert got == want
+    # None, alpha_hi itself (True) and a bisected edge (False) all occur
+    assert {None if g is None else g == case[2] for g, case in zip(got, cases)} == {None, True, False}
 
 
 def test_alpha_margin_none_when_unstable_at_floor(p_unstable):
