@@ -37,14 +37,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import IO, Optional
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Optional
 
 from .equilibria import Equilibrium
 from .errors import DomainError, IntegrationError, ParameterError, _checked_float
 from .lyapunov import LyapunovCoeffs, _require_inner, _require_positive, _w, _w_dot
 from .model import ModelParams, State, _rhs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Growth/shrink clamps for the adaptive step controller.
 _SAFETY = 0.9
@@ -158,6 +159,8 @@ def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Traje
         Trajectory with strictly increasing times, t=0 and t=t_end
         included, and every recorded population >= -abs_tol.
     """
+    import numpy as np
+
     s0 = _check_initial(s0)
     t_end = opts.t_end
     dt_min = 1e-12 * t_end or math.ulp(0.0)
@@ -231,6 +234,8 @@ def lyapunov_trace(
     :func:`integrate`, DomainError if a population of ``s0`` is 0 or a
     recorded state leaves the open octant (W is undefined there).
     """
+    import numpy as np
+
     _require_inner(eq)
     s0 = _check_initial(s0)
     _require_positive(s0)

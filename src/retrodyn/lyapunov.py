@@ -27,25 +27,46 @@ The paper's scalar condition 4 on the equilibrium alone ("condition4")
 and a grid search for weights that make Omega definite are also
 provided.  Condition 4 is not a sufficient condition: it can hold at an
 unstable equilibrium, where no weights make Omega definite.
+
+The scalar kernels, condition 4 and the sweep's weight decision
+(``_grid_has_definite`` inside its closed forms' range) run on Python
+floats.  numpy is imported only where an array is built: the grid
+search's score table (``search_coeffs``, and ``_grid_has_definite`` out
+of range), ``OmegaForm.as_matrix``, and ``volterra`` on an array.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .equilibria import Equilibrium, EquilibriumKind, _over_product
 from .errors import DomainError, ParameterError, _checked_float
 from .model import ModelParams, State, _rhs
 
-# The weights A and B that search_coeffs tries: 41 log-spaced values in [1e-3, 1e3].
-_WEIGHTS = np.logspace(-3.0, 3.0, 41)
-_WEIGHT_LIST = _WEIGHTS.tolist()
+if TYPE_CHECKING:
+    import numpy as np
+
+# The weights A and B that search_coeffs tries: 41 log-spaced values in
+# [1e-3, 1e3], the bits of np.logspace(-3.0, 3.0, 41).  They are written
+# out because 10.0 ** x rounds two of them differently.
+_WEIGHTS = (
+    0.001, 0.001412537544622754, 0.001995262314968879, 0.002818382931264455,
+    0.003981071705534973, 0.005623413251903491, 0.007943282347242814, 0.011220184543019636,
+    0.015848931924611134, 0.02238721138568339, 0.03162277660168379, 0.0446683592150963,
+    0.0630957344480193, 0.08912509381337455, 0.12589254117941676, 0.1778279410038923,
+    0.25118864315095796, 0.3548133892335753, 0.501187233627272, 0.707945784384138,
+    1.0, 1.412537544622754, 1.9952623149688788, 2.818382931264452,
+    3.981071705534969, 5.62341325190349, 7.943282347242813, 11.220184543019629,
+    15.848931924611142, 22.38721138568338, 31.622776601683793, 44.66835921509626,
+    63.0957344480193, 89.12509381337459, 125.89254117941661, 177.82794100389228,
+    251.18864315095772, 354.8133892335753, 501.18723362727246, 707.9457843841374,
+    1000.0,
+)
 # Relative widening of each closed-form root before it is mapped onto the
 # grid, so that a grid point within rounding of a root is still tried.
 _ROOT_SLACK = 1e-9
@@ -104,6 +125,8 @@ class OmegaForm:
         return self.delta1 > 0.0 and self.delta2 > 0.0 and self.delta3 > 0.0
 
     def as_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [
                 [self.omega11, self.omega12, self.omega13],
@@ -140,15 +163,19 @@ class Condition4Report:
 def volterra(s: float) -> float:
     """v(s) = s - ln(s) - 1; nonnegative on (0, inf), zero only at s = 1.
 
-    A float array is taken element by element, its logs still from
-    math.log (see :func:`retrodyn.integrator.lyapunov_trace`).
+    A float array of any shape is taken element by element, its logs
+    still from math.log (see :func:`retrodyn.integrator.lyapunov_trace`).
     """
-    vector = isinstance(s, np.ndarray)
+    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
+    vector = np is not None and isinstance(s, np.ndarray)
     ok = s > 0.0
     if not (ok.all() if vector else ok):
-        bad = s[ok.argmin()].item() if vector else s
+        bad = s.flat[ok.argmin()].item() if vector else s
         raise DomainError(f"volterra term needs a positive argument, got {bad!r}")
-    log = np.fromiter(map(math.log, s.tolist()), float, len(s)) if vector else math.log(s)
+    if vector:
+        log = np.fromiter(map(math.log, s.ravel().tolist()), float, s.size).reshape(s.shape)
+    else:
+        log = math.log(s)
     return s - log - 1.0
 
 
@@ -296,8 +323,8 @@ def search_coeffs(params: ModelParams, eq: Equilibrium) -> Optional[Tuple[Lyapun
     """
     _require_inner(eq)
     score = _grid_scores(params, params.alpha, params.k, (eq.point.C, eq.point.I, eq.point.V))
-    i, j = divmod(int(np.argmax(score)), len(_WEIGHTS))
-    coeffs = LyapunovCoeffs(A=float(_WEIGHTS[i]), B=float(_WEIGHTS[j]), D=1.0)
+    i, j = divmod(int(score.argmax()), len(_WEIGHTS))
+    coeffs = LyapunovCoeffs(A=_WEIGHTS[i], B=_WEIGHTS[j], D=1.0)
     form = _form(params, coeffs, eq.point, eq.point)
     return (coeffs, form) if form.positive_definite else None
 
@@ -306,8 +333,11 @@ def _grid_scores(params: ModelParams, alpha: float, k: float, pt: tuple) -> np.n
     # min(delta1..3) at the equilibrium pt = (C, I, V) over the weights
     # (A by row, B by column, D = 1), with (alpha, k) in place of
     # params.alpha and params.k.  Overflow NaNs at extreme rates read -inf.
+    import numpy as np
+
+    weights = np.array(_WEIGHTS)
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = _omega_entries(params, alpha, k, _WEIGHTS[:, None], _WEIGHTS[None, :], 1.0, pt, pt)
+        entries = _omega_entries(params, alpha, k, weights[:, None], weights[None, :], 1.0, pt, pt)
         d1, d2, d3 = _minors(*entries)
         score = np.minimum(np.minimum(d1, d2), d3)
     score[np.isnan(score)] = -np.inf
@@ -324,7 +354,7 @@ def _positive_run(c2, c1, c0):
     index is returned.
     """
     if c2 > 0.0:
-        return range(len(_WEIGHT_LIST))
+        return range(len(_WEIGHTS))
     disc = c1 * c1 - 4.0 * c2 * c0
     if not (c1 > 0.0 and disc > 0.0):
         return range(0)
@@ -332,8 +362,8 @@ def _positive_run(c2, c1, c0):
     lo = -2.0 * c0 / s
     hi = s / (-2.0 * c2) if c2 < 0.0 else math.inf
     return range(
-        bisect_right(_WEIGHT_LIST, lo * (1.0 - _ROOT_SLACK)),
-        bisect_left(_WEIGHT_LIST, hi * (1.0 + _ROOT_SLACK)),
+        bisect_right(_WEIGHTS, lo * (1.0 - _ROOT_SLACK)),
+        bisect_left(_WEIGHTS, hi * (1.0 + _ROOT_SLACK)),
     )
 
 
@@ -365,7 +395,7 @@ def _grid_has_definite(params: ModelParams, alpha: float, k: float, pt: tuple) -
     # delta2(B) = w11*g*B - (u*B + c)^2
     b_run = _positive_run(-u * u, w11 * g - 2.0 * u * c, -c * c)
     for j in b_run:
-        B = _WEIGHT_LIST[j]
+        B = _WEIGHTS[j]
         w12 = u * B + c
         w22 = g * B
         qB = q * B
@@ -375,7 +405,7 @@ def _grid_has_definite(params: ModelParams, alpha: float, k: float, pt: tuple) -
             -w11 * qB * qB,
         )
         for i in a_run:
-            d1, d2, d3 = _minors(*_omega_entries(params, alpha, k, _WEIGHT_LIST[i], B, 1.0, pt, pt))
+            d1, d2, d3 = _minors(*_omega_entries(params, alpha, k, _WEIGHTS[i], B, 1.0, pt, pt))
             if d1 > 0.0 and d2 > 0.0 and d3 > 0.0:
                 return True
     return False

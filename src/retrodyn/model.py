@@ -19,16 +19,21 @@ virus clears at rate sigma.
 
 This module holds the plain data types plus the three purely local
 operations on them: the right-hand side, its Jacobian, and the
-characteristic cubic of a 3x3 matrix.
+characteristic cubic of a 3x3 matrix.  The algebra runs on Python
+floats; numpy is imported only by the functions that build or read an
+array (``as_array``, ``jacobian`` and ``char_cubic``), so importing the
+package does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError, _checked_float
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PARAM_NAMES = ("a", "a_I", "b11", "b12", "b21", "b22", "alpha", "m", "k", "sigma")
 
@@ -85,6 +90,8 @@ class State:
     V: float
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.C, self.I, self.V], dtype=float)
 
 
@@ -97,6 +104,8 @@ class Derivative:
     dV: float
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.dC, self.dI, self.dV], dtype=float)
 
 
@@ -146,6 +155,8 @@ def jacobian(params: ModelParams, s: State) -> np.ndarray:
     Returns:
         (3, 3) float array J with J[i][j] = d f_i / d s_j.
     """
+    import numpy as np
+
     entries = _jacobian_entries(params, params.alpha, params.k, s.C, s.I, s.V)
     return np.array(entries, dtype=float).reshape(3, 3)
 
@@ -179,6 +190,8 @@ def char_cubic(J: np.ndarray) -> CubicCoeffs:
     The determinant is expanded explicitly so the result is a fixed,
     reproducible floating-point expression.
     """
+    import numpy as np
+
     J = np.asarray(J, dtype=float)
     if J.shape != (3, 3):
         raise ParameterError(f"expected a 3x3 matrix, got shape {J.shape}")

@@ -457,6 +457,29 @@ def test_entry_point_wiring(tmp_path):
     assert json.loads(proc.stdout.strip().split("\n")[0])["kind"] == "inner"
 
 
+def test_equilibria_and_sweep_never_import_numpy(tmp_path):
+    # numpy is most of a fresh process's start-up, and these two commands
+    # compute on floats only: neither the import nor a run may load it.
+    # The grid has cells without an inner point, stable-definite cells
+    # and unstable ones.
+    sweep = {"alpha_values": [0.001, 0.01, 2.0], "k_values": [1.0, 30.0]}
+    cfg = write_config(tmp_path, {"params": PU, "sweep": sweep})
+    script = (
+        "import contextlib, io, sys\n"
+        "import retrodyn.cli\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "for command in ('equilibria', 'sweep'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert retrodyn.cli.main(['--config', sys.argv[1], command]) == 0\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, cfg], capture_output=True, text=True,
+                          env=_module_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, False]\n"
+
+
 def test_closed_stdout_exits_141(tmp_path):
     # `simulate | head -1` on 40,001 rows: a write fails once the reader
     # has closed its end of the pipe

@@ -52,6 +52,21 @@ def test_volterra_values():
         volterra(-1.0)
 
 
+def test_volterra_on_arrays_of_any_shape():
+    # element by element with math.log, in the array's own shape
+    for s in (np.array(2.0), np.array([0.5, 1.0, 2.0]), np.array([[0.5, 1.0], [2.0, 3.0]])):
+        got = volterra(s)
+        assert np.shape(got) == s.shape
+        assert np.ravel(got).tolist() == [x - math.log(x) - 1.0 for x in s.ravel().tolist()]
+    # np.float64 is a float and stays on the scalar path
+    assert volterra(np.float64(2.0)) == volterra(2.0)
+    # the first nonpositive entry in row-major order is reported
+    with pytest.raises(DomainError, match=r"got -1\.0$"):
+        volterra(np.array([[1.0, 2.0], [-1.0, 0.0]]))
+    with pytest.raises(DomainError, match=r"got 0\.0$"):
+        volterra(np.array(0.0))
+
+
 def test_coeffs_validation():
     with pytest.raises(ParameterError):
         LyapunovCoeffs(0.0, 1.0, 1.0)
@@ -309,6 +324,17 @@ def test_search_skips_overflowed_weights(p2):
     assert (coeffs.A, coeffs.B) == (1e-3, _WEIGHTS[15])
     assert form.positive_definite
     assert np.all(np.linalg.eigvalsh(form.as_matrix()) > 0.0)
+
+
+def test_weights_are_numpy_logspace():
+    # Written out as literals so that importing lyapunov loads no numpy.
+    # libm's pow, 10.0 ** x, rounds two points to a neighbouring double:
+    # index 25 (5.623413251903491) and index 34 (125.89254117941663).
+    want = np.logspace(-3.0, 3.0, 41).tolist()
+    assert type(_WEIGHTS) is tuple
+    assert [w.hex() for w in _WEIGHTS] == [w.hex() for w in want]
+    assert all(lo < hi for lo, hi in zip(_WEIGHTS, _WEIGHTS[1:]))
+    assert _WEIGHTS[20] == 1.0
 
 
 def test_positive_run_hand_cases():
