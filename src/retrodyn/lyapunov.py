@@ -28,11 +28,11 @@ and a grid search for weights that make Omega definite are also
 provided.  Condition 4 is not a sufficient condition: it can hold at an
 unstable equilibrium, where no weights make Omega definite.
 
-The scalar kernels, condition 4 and the sweep's weight decision
-(``_grid_has_definite`` inside its closed forms' range) run on Python
-floats.  numpy is imported only where an array is built: the grid
-search's score table (``search_coeffs``, and ``_grid_has_definite`` out
-of range), ``OmegaForm.as_matrix``, and ``volterra`` on an array.
+The scalar kernels, condition 4 and the weight search run on Python
+floats: ``search_coeffs`` and the sweep's ``_grid_has_definite`` read
+the same enumeration of the definite grid points.  numpy is imported
+only where an array is built: ``OmegaForm.as_matrix``, and ``volterra``
+on an array.
 """
 
 from __future__ import annotations
@@ -70,13 +70,14 @@ _WEIGHTS = (
 # Relative widening of each closed-form root before it is mapped onto the
 # grid, so that a grid point within rounding of a root is still tried.
 _ROOT_SLACK = 1e-9
-# _grid_has_definite's closed forms are trusted only while Omega's
+# _definite_points' closed forms are trusted only while Omega's
 # entries per unit weight sum to less than _PART_MAX in magnitude and
 # the diagonal products that set the scale of delta2 and delta3 exceed
 # _SCALE_MIN: then no minor on the grid overflows or loses its
 # precision to underflow.
 _PART_MAX = 1e40
 _SCALE_MIN = 1e-100
+_EVERY = range(len(_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -223,10 +224,8 @@ def w_dot(params: ModelParams, coeffs: LyapunovCoeffs, eq: Equilibrium, s: State
 
 
 def _omega_entries(params, alpha, k, A, B, D, eq_point, at_point):
-    # Shared by the scalar and the vectorized (grid search) callers:
-    # A, B, D may be floats or broadcastable arrays; alpha, k (in place
-    # of params.alpha and params.k) and the points are floats, and a
-    # product of coordinates that underflows to 0 is divided by one
+    # On floats, with alpha and k in place of params.alpha and params.k;
+    # a product of coordinates that underflows to 0 is divided by one
     # factor at a time.
     p = params
     Ch, Ih, Vh = eq_point
@@ -316,32 +315,19 @@ def search_coeffs(params: ModelParams, eq: Equilibrium) -> Optional[Tuple[Lyapun
 
     D is pinned to 1 (scaling all three weights only rescales the
     minors, so nothing is lost), while A and B range over 41
-    log-spaced values in [1e-3, 1e3].  The weight pair maximizing the
-    smallest minor wins, and a pair whose minors overflow to NaN never
-    does; None is returned when even the best pair leaves
-    min(delta1..3) <= 0.
+    log-spaced values in [1e-3, 1e3].  Among the weight pairs that make
+    Omega definite, the one maximizing the smallest minor wins; a tie
+    goes to the smaller A, then the smaller B.  A pair whose minors
+    overflow to NaN is not definite and never wins.  None is returned
+    when no pair makes Omega definite.
     """
     _require_inner(eq)
-    score = _grid_scores(params, params.alpha, params.k, (eq.point.C, eq.point.I, eq.point.V))
-    i, j = divmod(int(score.argmax()), len(_WEIGHTS))
-    coeffs = LyapunovCoeffs(A=_WEIGHTS[i], B=_WEIGHTS[j], D=1.0)
-    form = _form(params, coeffs, eq.point, eq.point)
-    return (coeffs, form) if form.positive_definite else None
-
-
-def _grid_scores(params: ModelParams, alpha: float, k: float, pt: tuple) -> np.ndarray:
-    # min(delta1..3) at the equilibrium pt = (C, I, V) over the weights
-    # (A by row, B by column, D = 1), with (alpha, k) in place of
-    # params.alpha and params.k.  Overflow NaNs at extreme rates read -inf.
-    import numpy as np
-
-    weights = np.array(_WEIGHTS)
-    with np.errstate(over="ignore", invalid="ignore"):
-        entries = _omega_entries(params, alpha, k, weights[:, None], weights[None, :], 1.0, pt, pt)
-        d1, d2, d3 = _minors(*entries)
-        score = np.minimum(np.minimum(d1, d2), d3)
-    score[np.isnan(score)] = -np.inf
-    return score
+    hits = _definite_points(params, params.alpha, params.k, (eq.point.C, eq.point.I, eq.point.V))
+    best = max(hits, key=lambda hit: (min(hit[2]), -hit[0], -hit[1]), default=None)
+    if best is None:
+        return None
+    coeffs = LyapunovCoeffs(A=_WEIGHTS[best[0]], B=_WEIGHTS[best[1]], D=1.0)
+    return coeffs, _form(params, coeffs, eq.point, eq.point)
 
 
 def _positive_run(c2, c1, c0):
@@ -354,7 +340,7 @@ def _positive_run(c2, c1, c0):
     index is returned.
     """
     if c2 > 0.0:
-        return range(len(_WEIGHTS))
+        return _EVERY
     disc = c1 * c1 - 4.0 * c2 * c0
     if not (c1 > 0.0 and disc > 0.0):
         return range(0)
@@ -367,21 +353,21 @@ def _positive_run(c2, c1, c0):
     )
 
 
-def _grid_has_definite(params: ModelParams, alpha: float, k: float, pt: tuple) -> bool:
-    """``search_coeffs(p, eq) is not None``, decided through Omega's algebra,
-    for p = params with (alpha, k) in place of params.alpha and
-    params.k and eq the inner equilibrium at the point pt = (C, I, V).
+def _definite_points(params: ModelParams, alpha: float, k: float, pt: tuple):
+    """Yield (i, j, (delta1, delta2, delta3)) for each grid weight
+    (A, B, D) = (_WEIGHTS[i], _WEIGHTS[j], 1) that makes Omega definite
+    at the equilibrium pt = (C, I, V), with (alpha, k) in place of
+    params.alpha and params.k.
 
     With D = 1 at the equilibrium, omega11 = sigma/V^^2 is constant,
     omega22 = g*B and omega12 = u*B + c (u, c <= 0) depend on B alone,
     and omega33 = h*A, omega13 = e*A, omega23 = f*A + q*B.  So delta2
     is a concave quadratic in B, and on each B column where delta2 > 0,
     delta3 is a quadratic in A with c2 <= 0 and c0 <= 0; each positive
-    set is one interval.
-    Only the grid points inside them are evaluated, with the operations
-    search_coeffs applies at that point, and the first definite one
-    decides.  All of this runs on plain floats; out of the closed forms'
-    safe range the whole grid is scored as search_coeffs scores it.
+    set is one interval.  Only the grid points inside them are
+    evaluated.  Out of the closed forms' safe range every grid point
+    is.  Each point's minors come from _minors and _omega_entries, the
+    operations OmegaForm applies, on plain floats.
     """
     # Every entry is linear in (A, B, D), and no entry holds both an A
     # and a D term, so two evaluations give each weight's part.
@@ -389,23 +375,27 @@ def _grid_has_definite(params: ModelParams, alpha: float, k: float, pt: tuple) -
     _, g, _, u, _, q = _omega_entries(params, alpha, k, 0.0, 1.0, 0.0, pt, pt)
     # A NaN or inf part makes the sum fail the test as well.
     parts = (w11, g, h, u, c, e, f, q)
-    if not (sum(map(abs, parts)) < _PART_MAX and min(w11 * g, w11 * g * h) > _SCALE_MIN):
-        return bool(_grid_scores(params, alpha, k, pt).max() > 0.0)
+    in_range = sum(map(abs, parts)) < _PART_MAX and min(w11 * g, w11 * g * h) > _SCALE_MIN
 
     # delta2(B) = w11*g*B - (u*B + c)^2
-    b_run = _positive_run(-u * u, w11 * g - 2.0 * u * c, -c * c)
+    b_run = _positive_run(-u * u, w11 * g - 2.0 * u * c, -c * c) if in_range else _EVERY
     for j in b_run:
         B = _WEIGHTS[j]
-        w12 = u * B + c
-        w22 = g * B
-        qB = q * B
-        a_run = _positive_run(
-            -(w11 * f * f - 2.0 * w12 * e * f + w22 * e * e),
-            h * (w11 * w22 - w12 * w12) + 2.0 * qB * (w12 * e - w11 * f),
-            -w11 * qB * qB,
-        )
+        a_run = _EVERY
+        if in_range:
+            w12, w22, qB = u * B + c, g * B, q * B
+            a_run = _positive_run(
+                -(w11 * f * f - 2.0 * w12 * e * f + w22 * e * e),
+                h * (w11 * w22 - w12 * w12) + 2.0 * qB * (w12 * e - w11 * f),
+                -w11 * qB * qB,
+            )
         for i in a_run:
-            d1, d2, d3 = _minors(*_omega_entries(params, alpha, k, _WEIGHTS[i], B, 1.0, pt, pt))
+            d1, d2, d3 = minors = _minors(*_omega_entries(params, alpha, k, _WEIGHTS[i], B, 1.0, pt, pt))
             if d1 > 0.0 and d2 > 0.0 and d3 > 0.0:
-                return True
-    return False
+                yield i, j, minors
+
+
+def _grid_has_definite(params: ModelParams, alpha: float, k: float, pt: tuple) -> bool:
+    """``search_coeffs(p, eq) is not None`` for p = params with (alpha, k)
+    in place of its own and eq the inner equilibrium at pt = (C, I, V)."""
+    return next(_definite_points(params, alpha, k, pt), None) is not None

@@ -21,10 +21,11 @@ Omega = -sym(P*J), with J the Jacobian in (V, I, C) order and
 P = diag(D/V^^2, B/I^^2, A/C^^2) positive, so a definite Omega makes J
 Hurwitz (Lyapunov's theorem): an Unstable cell's ``sylvester_pd`` is
 false without a look at the weights.  Stable and Marginal cells (a
-float Marginal can still be exactly Hurwitz) are answered on the same
-41x41 grid through the algebra of Omega (closed-form intervals, then
-an exact check of the grid points inside them), with answers identical
-to ``search_coeffs(...) is not None``.
+float Marginal can still be exactly Hurwitz) stop at the first definite
+point of the enumeration ``search_coeffs`` maximizes over: the points
+of the 41x41 grid inside closed-form intervals (every point out of
+their range), each checked exactly.  So the answer is
+``search_coeffs(...) is not None``, on Python floats.
 """
 
 from __future__ import annotations

@@ -458,26 +458,33 @@ def test_entry_point_wiring(tmp_path):
 
 
 def test_equilibria_and_sweep_never_import_numpy(tmp_path):
-    # numpy is most of a fresh process's start-up, and these two commands
-    # compute on floats only: neither the import nor a run may load it.
-    # The grid has cells without an inner point, stable-definite cells
-    # and unstable ones.
+    # numpy is most of a fresh process's start-up, and equilibria, sweep
+    # and stability compute on floats only: neither the import nor a run
+    # may load it.  PU's grid has cells without an inner point,
+    # stable-definite cells and unstable ones.  P2 with every rate x 1e103
+    # is out of the weight search's closed forms' range, where the whole
+    # weight grid is enumerated.
     sweep = {"alpha_values": [0.001, 0.01, 2.0], "k_values": [1.0, 30.0]}
-    cfg = write_config(tmp_path, {"params": PU, "sweep": sweep})
+    pu = write_config(tmp_path, {"params": PU, "sweep": sweep}, "pu.json")
+    far = dict(P2, **{name: 1e103 * P2[name] for name in ("a", "a_I", "m", "sigma", "alpha")})
+    far = write_config(tmp_path, {"params": far, "sweep": {"alpha_values": [far["alpha"]],
+                                                           "k_values": [far["k"]]}}, "far.json")
+    runs = [(pu, "equilibria", 0), (pu, "sweep", 0), (pu, "stability", 1),
+            (far, "sweep", 0), (far, "stability", 1)]
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "import retrodyn.cli\n"
         "loaded = ['numpy' in sys.modules]\n"
-        "for command in ('equilibria', 'sweep'):\n"
+        "for cfg, command, code in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert retrodyn.cli.main(['--config', sys.argv[1], command]) == 0\n"
+        "        assert retrodyn.cli.main(['--config', cfg, command]) == code, (cfg, command)\n"
         "    loaded.append('numpy' in sys.modules)\n"
         "print(loaded)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, cfg], capture_output=True, text=True,
-                          env=_module_env())
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True,
+                          text=True, env=_module_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, False, False]\n"
+    assert proc.stdout == "%r\n" % ([False] * (1 + len(runs)),)
 
 
 def test_closed_stdout_exits_141(tmp_path):

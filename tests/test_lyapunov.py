@@ -24,9 +24,10 @@ from retrodyn import (
 )
 
 import retrodyn.lyapunov
-from retrodyn.lyapunov import _WEIGHTS, _grid_has_definite, _positive_run
+from retrodyn.lyapunov import _WEIGHTS, _grid_has_definite, _minors, _omega_entries, _positive_run
 
 from conftest import counting, eq_point, refuse_objects, sample_params, sample_params_mild, state_near
+from test_kernels import _scaled
 
 ONES = LyapunovCoeffs(1.0, 1.0, 1.0)
 
@@ -367,20 +368,69 @@ def test_grid_has_definite_matches_search(p1, p2, p_unstable):
 
 
 def test_grid_has_definite_skips_the_grid_search(p1, p2, p_unstable, monkeypatch):
-    # In range the closed forms decide alone; only overflow scores the
-    # whole weight grid.  Neither path builds a parameter set, an
-    # equilibrium, a state, weights or a form, and both give the answer
-    # of search_coeffs.
+    # In range the closed forms leave a few grid points to evaluate; out
+    # of it every point is, up to the first definite one.  Neither path
+    # builds a parameter set, an equilibrium, a state, weights or a form,
+    # and both give the answer of search_coeffs.
     far = [_rates_times(p2, 1e101), _rates_times(p2, 1e103), _rates_times(p_unstable, 1e103)]
     cases = [p1, p2, p_unstable, _rates_times(p2, 1e-5), _rates_times(p2, 1e20)] + far
     cases = [(p, inner_equilibrium(p)) for p in cases]
     want = [search_coeffs(p, eq) is not None for p, eq in cases]
-    scored = counting(monkeypatch, retrodyn.lyapunov, "_grid_scores")
+    evaluated = counting(monkeypatch, retrodyn.lyapunov, "_minors")
     refuse_objects(monkeypatch)
-    got = [_grid_has_definite(p, p.alpha, p.k, eq_point(eq)) for p, eq in cases]
+    got, counts = [], []
+    for p, eq in cases:
+        before = len(evaluated)
+        got.append(_grid_has_definite(p, p.alpha, p.k, eq_point(eq)))
+        counts.append(len(evaluated) - before)
     assert got == want
     assert all(type(g) is bool for g in got)
-    assert [args[0] for args in scored] == far and want[-3:] == [True, True, False]
+    assert want[-3:] == [True, True, False]
+    assert all(n <= 2 for n in counts[:-3])
+    assert all(len(_WEIGHTS) < n < len(_WEIGHTS) ** 2 for n in counts[-3:-1])
+    assert counts[-1] == len(_WEIGHTS) ** 2
+
+
+def _numpy_search(p, eq):
+    # The whole-grid search search_coeffs must match bit for bit:
+    # min(delta1..3) over every weight pair (A by row, B by column,
+    # D = 1), NaN read as -inf, and the first maximum.
+    weights = np.array(_WEIGHTS)
+    pt = eq_point(eq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = _omega_entries(p, p.alpha, p.k, weights[:, None], weights[None, :], 1.0, pt, pt)
+        minors = [np.broadcast_to(d, (len(_WEIGHTS),) * 2) for d in _minors(*entries)]
+        score = np.minimum(np.minimum(minors[0], minors[1]), minors[2])
+    score[np.isnan(score)] = -np.inf
+    i, j = np.unravel_index(score.argmax(), score.shape)
+    if not score[i, j] > 0.0:
+        return None
+    return [_WEIGHTS[i], _WEIGHTS[j], 1.0] + [float(d[i, j]) for d in minors]
+
+
+def test_search_matches_numpy_grid_argmax(p1, p2, p_unstable):
+    rng = np.random.default_rng(113)
+    cases = [sampler(rng) for sampler in (sample_params, sample_params_mild) for _ in range(1000)]
+    for _ in range(300):
+        # time and population units 10^U(-150, 150) away from the draw's
+        time, population = 10.0 ** rng.uniform(-150.0, 150.0, 2)
+        p = _scaled(sample_params(rng), time, ("a", "a_I", "m", "sigma", "alpha"))
+        cases.append(_scaled(p, population, ("b11", "b12", "b21", "b22", "alpha")))
+    cases += [_rates_times(p, s) for p in (p2, p_unstable) for s in (1e-5, 1e20, 1e50, 1e101, 1e103)]
+    cases.append(p1.replace(k=1e300, sigma=1e-10))  # an overflowed inner point
+    found = []
+    for p in cases:
+        eq = inner_equilibrium(p)
+        if eq is None:
+            continue
+        hit = search_coeffs(p, eq)
+        if hit is not None:
+            coeffs, form = hit
+            hit = [coeffs.A, coeffs.B, coeffs.D, form.delta1, form.delta2, form.delta3]
+        want = _numpy_search(p, eq)
+        assert (hit and [x.hex() for x in hit]) == (want and [x.hex() for x in want]), p
+        found.append(hit is not None)
+    assert len(found) > 1400 and 0 < sum(found) < len(found)
 
 
 def test_search_unstable_exemplar_absent(p_unstable):

@@ -24,6 +24,7 @@ from retrodyn import (
 )
 import retrodyn.lyapunov
 import retrodyn.sweep
+from retrodyn.lyapunov import _WEIGHTS
 from retrodyn.sweep import _ABSENT, _INNER, _anchored_rectangle
 
 from conftest import counting, refuse_objects, sample_params
@@ -99,27 +100,30 @@ def test_evaluate_cell_checks_inputs_as_replace_does(p2, alpha, k):
 
 _P2 = dict(a=1, a_I=2, b11=1, b12=0.1, b21=0.1, b22=1, alpha=0.5, m=0.5, k=1, sigma=1)
 # P2 with every rate x 1e103: out of the closed forms' range, so a
-# cell's sylvester_pd scores the whole weight grid
+# cell's sylvester_pd enumerates the whole weight grid
 _P2_RATES_1E103 = {**_P2, **{name: 1e103 * _P2[name] for name in ("a", "a_I", "m", "sigma", "alpha")}}
 
 
 def test_map_builds_no_params_equilibrium_or_cell(monkeypatch):
     # Each cell passes floats through the kernels and returns a shared
     # cell: no parameter set, equilibrium, state, weights, form or cell
-    # is built, in the closed forms' range (P2) or out of it, where the
-    # whole weight grid is scored.
+    # is built, in the closed forms' range (P2), where a cell evaluates a
+    # few grid points, or out of it, where the whole weight grid is.
     grids = [SweepGrid(ModelParams(**_P2), log_axis(0.01, 10.0, 24), log_axis(0.1, 100.0, 24)),
              SweepGrid(ModelParams(**_P2_RATES_1E103), log_axis(1e101, 1e105, 6), log_axis(0.1, 10.0, 4))]
     want = [stability_map(grid).cells for grid in grids]
     points = counting(monkeypatch, retrodyn.sweep, "_inner_point")
-    scored = counting(monkeypatch, retrodyn.lyapunov, "_grid_scores")
+    evaluated = counting(monkeypatch, retrodyn.lyapunov, "_minors")
     refuse_objects(monkeypatch, SweepCell)
-    for grid, fallbacks, cells_want in zip(grids, (False, True), want):
-        del points[:], scored[:]
+    for grid, whole, cells_want in zip(grids, (False, True), want):
+        del points[:], evaluated[:]
         cells = stability_map(grid).cells
         assert cells == cells_want
         assert len(points) == len(grid.alpha_values) * len(grid.k_values)
-        assert bool(scored) is fallbacks
+        if whole:
+            assert len(evaluated) >= len(_WEIGHTS) ** 2
+        else:
+            assert len(evaluated) <= 2 * len(points)
         cells = [c for row in cells for c in row]
         assert all(c is _ABSENT or c is _INNER[c.rh_verdict, c.sylvester_pd, c.cond4_as_written, c.cond4_corrected]
                    for c in cells)
@@ -214,10 +218,10 @@ def test_map_matches_per_cell_calls(p2):
 def test_map_matches_per_cell_calls_on_rescaled_bases(monkeypatch):
     # Rates and populations rescaled by 10^U(-150, 150), alpha by both
     # factors: far from 1 the closed forms leave their safe range, and
-    # _grid_has_definite scores the whole weight grid as search_coeffs
-    # does, compared here cell by cell with the components.
-    scored = counting(monkeypatch, retrodyn.lyapunov, "_grid_scores")
-    fallbacks = 0
+    # _grid_has_definite enumerates the whole weight grid, compared here
+    # cell by cell with the components.
+    evaluated = counting(monkeypatch, retrodyn.lyapunov, "_minors")
+    whole_grids = 0
     rng = np.random.default_rng(97)
     for _ in range(120):
         time, population = 10.0 ** rng.uniform(-150.0, 150.0, 2)
@@ -226,12 +230,12 @@ def test_map_matches_per_cell_calls_on_rescaled_bases(monkeypatch):
         alphas = [alpha * time * population for alpha in _random_log_axis(rng, int(rng.integers(2, 8)))]
         grid = SweepGrid(base=base, alpha_values=alphas,
                          k_values=_random_log_axis(rng, int(rng.integers(2, 8))))
-        # only the map's own calls count, not the components' search_coeffs
-        before = len(scored)
+        # only the map's own points count, not the components' search_coeffs
+        before = len(evaluated)
         stability_map(grid)
-        fallbacks += len(scored) - before
+        whole_grids += len(evaluated) - before >= len(_WEIGHTS) ** 2
         _assert_map_matches_cells(grid)
-    assert fallbacks
+    assert whole_grids
 
 
 @pytest.mark.parametrize(
