@@ -47,22 +47,18 @@ def residual(params: ModelParams, point: State) -> float:
     return max(map(abs, _rhs(params, point.C, point.I, point.V)))
 
 
-def _over_product(x, u, v, w=1.0):
+def _over_product(x, u, v, w=1):
     """x / (u*v*w) for positive scalars u, v and w, divided one factor
     at a time when the product underflows to 0.  x may be an array.
-    The default w = 1.0 changes no bit of x / (u*v)."""
+    The default w = 1 changes no bit of x / (u*v)."""
     uvw = u * v * w
-    return x / uvw if uvw != 0.0 else x / u / v / w
+    return x / uvw if uvw != 0 else x / u / v / w
 
 
-# Kernels of inner_equilibrium.  alpha and k may be floats or
-# broadcastable arrays (a whole sweep grid), with the same bits in each
-# element; the other parameters come from p.  On arrays a caller
-# ignores floating-point errors and masks the cells, where on floats
-# inner_equilibrium returns early.
-def _reduced_system(p: ModelParams, alpha, k):
-    """The reduced 2x2 system as (a11, a12, a21, a22, det), and whether
-    it counts as singular."""
+def _inner_point(p: ModelParams, alpha: float, k: float) -> Optional[tuple]:
+    # inner_equilibrium's point (C, I, V), or None, at (alpha, k) in
+    # place of p.alpha and p.k; the sweep calls it once per cell.  The
+    # reduced 2x2 system, its right-hand side (1, r2), then Cramer's rule.
     akm = alpha * k * p.m
     a11 = p.b11
     a12 = p.b12 + _over_product(akm, p.a, p.sigma)
@@ -70,27 +66,15 @@ def _reduced_system(p: ModelParams, alpha, k):
     a22 = p.a_I * p.b22
     det = a11 * a22 - a12 * a21
     scale = abs(a11 * a22) + abs(a12 * a21)
-    return (a11, a12, a21, a22, det), (scale == 0.0) | (abs(det) < SINGULAR_RTOL * scale)
-
-
-def _cramer_solution(p: ModelParams, k, a11, a12, a21, a22, det):
-    """(C, I, V) of a nonsingular reduced system, and whether all
-    three lie above POSITIVITY_FLOOR."""
-    r2 = p.a_I - p.m  # the right-hand side is (1, r2)
+    if scale == 0 or abs(det) < SINGULAR_RTOL * scale:
+        return None
+    r2 = p.a_I - p.m
     C = (a22 - a12 * r2) / det
     I = (a11 * r2 - a21) / det
     V = k * p.m * I / p.sigma
-    return C, I, V, (C > POSITIVITY_FLOOR) & (I > POSITIVITY_FLOOR) & (V > POSITIVITY_FLOOR)
-
-
-def _inner_point(p: ModelParams, alpha: float, k: float) -> Optional[tuple]:
-    # inner_equilibrium's point as floats (C, I, V), or None, at (alpha, k)
-    # in place of p.alpha and p.k; the sweep calls it once per cell.
-    system, singular = _reduced_system(p, alpha, k)
-    if singular:
-        return None
-    C, I, V, positive = _cramer_solution(p, k, *system)
-    return (C, I, V) if positive else None
+    if C > POSITIVITY_FLOOR and I > POSITIVITY_FLOOR and V > POSITIVITY_FLOOR:
+        return C, I, V
+    return None
 
 
 def inner_equilibrium(params: ModelParams) -> Optional[Equilibrium]:

@@ -134,16 +134,16 @@ def vector_field(params: ModelParams, s: State) -> Derivative:
 
 
 def _jacobian_entries(p: ModelParams, alpha, k, C, I, V) -> tuple:
-    # Row-major entries of the Jacobian; alpha, k and the state may be
-    # floats or broadcastable arrays (a whole sweep grid).
+    # Row-major entries of the Jacobian at (C, I, V), with (alpha, k) in
+    # place of p.alpha and p.k.  Int literals keep Fraction inputs exact.
     return (
-        p.a * (1.0 - 2.0 * p.b11 * C - p.b12 * I) - alpha * V,
+        p.a * (1 - 2 * p.b11 * C - p.b12 * I) - alpha * V,
         -p.a * p.b12 * C,
         -alpha * C,
         -p.a_I * p.b21 * I + alpha * V,
-        p.a_I * (1.0 - p.b21 * C - 2.0 * p.b22 * I) - p.m,
+        p.a_I * (1 - p.b21 * C - 2 * p.b22 * I) - p.m,
         alpha * C,
-        0.0,
+        0,
         k * p.m,
         -p.sigma,
     )
@@ -162,7 +162,7 @@ def jacobian(params: ModelParams, s: State) -> np.ndarray:
 
 
 def _cubic_coeffs(j00, j01, j02, j10, j11, j12, j20, j21, j22) -> tuple:
-    # (p, q, r) of char_cubic from the row-major entries, floats or arrays.
+    # (p, q, r) of char_cubic from the row-major Jacobian entries.
     p = -(j00 + j11 + j22)
     q = (
         (j11 * j22 - j12 * j21)

@@ -40,23 +40,24 @@ class StabilityReport:
 
 
 def _hurwitz(p, q, r) -> tuple:
-    """Hurwitz margins with the Unstable and Stable flags; p, q and r
-    may be floats or arrays (the flags then are boolean arrays)."""
+    """Hurwitz margins and the verdict they give.  A NaN margin fails
+    both comparisons, so it leaves the verdict Marginal unless another
+    margin is below -MARGINAL_TOL."""
     margins = (p, r, p * q - r)
     m0, m1, m2 = margins
-    unstable = (m0 < -MARGINAL_TOL) | (m1 < -MARGINAL_TOL) | (m2 < -MARGINAL_TOL)
-    stable = (m0 > MARGINAL_TOL) & (m1 > MARGINAL_TOL) & (m2 > MARGINAL_TOL)
-    return margins, unstable, stable
-
-
-def _verdict(unstable: bool, stable: bool) -> Verdict:
-    return Verdict.UNSTABLE if unstable else Verdict.STABLE if stable else Verdict.MARGINAL
+    if m0 < -MARGINAL_TOL or m1 < -MARGINAL_TOL or m2 < -MARGINAL_TOL:
+        verdict = Verdict.UNSTABLE
+    elif m0 > MARGINAL_TOL and m1 > MARGINAL_TOL and m2 > MARGINAL_TOL:
+        verdict = Verdict.STABLE
+    else:
+        verdict = Verdict.MARGINAL
+    return margins, verdict
 
 
 def routh_hurwitz_cubic(cubic: CubicCoeffs) -> StabilityReport:
     """Classify a monic cubic by the sign pattern of its Hurwitz margins."""
-    margins, unstable, stable = _hurwitz(cubic.p, cubic.q, cubic.r)
-    return StabilityReport(cubic=cubic, verdict=_verdict(unstable, stable), margins=margins)
+    margins, verdict = _hurwitz(cubic.p, cubic.q, cubic.r)
+    return StabilityReport(cubic=cubic, verdict=verdict, margins=margins)
 
 
 def classify_equilibrium(params: ModelParams, eq: Equilibrium) -> StabilityReport:
@@ -70,6 +71,4 @@ def _equilibrium_verdict(params: ModelParams, alpha, k, C, I, V) -> Verdict:
     # classify_equilibrium's verdict at the equilibrium (C, I, V) of
     # params with (alpha, k) in place of params.alpha and params.k,
     # without the report the sweep discards.
-    cubic = _cubic_coeffs(*_jacobian_entries(params, alpha, k, C, I, V))
-    _, unstable, stable = _hurwitz(*cubic)
-    return _verdict(unstable, stable)
+    return _hurwitz(*_cubic_coeffs(*_jacobian_entries(params, alpha, k, C, I, V)))[1]

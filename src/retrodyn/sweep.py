@@ -9,11 +9,6 @@ equilibrium's (C, I, V) pass through the kernels behind
 ``inner_equilibrium``, ``classify_equilibrium``, ``search_coeffs`` and
 ``condition4``, and no ``ModelParams``, ``Equilibrium``, ``State`` or
 ``SweepCell`` is built; a cell is one of the cells shared by every map.
-The equilibrium and verdict kernels take arrays of (alpha, k) as well,
-with the same bits; the map stays per cell only because the benchmark
-counts sweep cells through ``evaluate_cell`` calls.  Condition 4 stays
-per cell: it squares with libm's ``x ** 2``, from which numpy's squares
-differ in the last bit on some arguments, which can flip ``lhs > rhs``.
 
 A cell's ``sylvester_pd`` asks whether the weight grid of
 ``search_coeffs`` holds a definite form.  At the equilibrium
@@ -43,6 +38,11 @@ from .stability import Verdict, _equilibrium_verdict
 ALPHA_BISECT_LO = 1e-6
 
 
+def _check_base(base) -> None:
+    if not isinstance(base, ModelParams):
+        raise ParameterError(f"base must be a ModelParams, got {base!r}")
+
+
 def _check_axis(name: str, values: Sequence[float]) -> tuple:
     try:
         items = iter(values)
@@ -66,8 +66,7 @@ class SweepGrid:
     k_values: tuple
 
     def __post_init__(self):
-        if not isinstance(self.base, ModelParams):
-            raise ParameterError(f"base must be a ModelParams, got {self.base!r}")
+        _check_base(self.base)
         object.__setattr__(self, "alpha_values", _check_axis("alpha_values", self.alpha_values))
         object.__setattr__(self, "k_values", _check_axis("k_values", self.k_values))
 
@@ -134,8 +133,9 @@ def evaluate_cell(base: ModelParams, alpha: float, k: float) -> SweepCell:
     and k are checked as ``replace`` checks them, alpha first, and the
     error is the same.  The result is one of the shared cells, and its
     ``sylvester_pd`` is ``search_coeffs(p, eq) is not None``, decided
-    as the module docstring says.
+    as the module docstring says.  A bad base fails as in ``SweepGrid``.
     """
+    _check_base(base)
     alpha = _checked_float("alpha", alpha, _BOUND["alpha"])
     k = _checked_float("k", k, _BOUND["k"])
     pt = _inner_point(base, alpha, k)
@@ -149,7 +149,7 @@ def evaluate_cell(base: ModelParams, alpha: float, k: float) -> SweepCell:
 
 def _anchored_rectangle(stable) -> Optional[Tuple[int, int]]:
     """Largest-area rectangle of True anchored at [0, 0] of a 2-D grid
-    of flags (nested lists or a boolean array).
+    of flags (nested lists).
 
     Returns the far-corner indices (i, j), or None when the anchor cell
     itself is False.  Area ties resolve toward the larger alpha extent.
@@ -200,7 +200,9 @@ def find_alpha_margin(base: ModelParams, k_fixed: float, alpha_hi: float) -> Opt
     it is stable and None when even alpha = 1e-6 is not.  Bisection
     assumes the stable alphas along the line form one interval; where
     they form several, the edge returned can depend on ``alpha_hi``.
+    A bad base fails as in ``SweepGrid``.
     """
+    _check_base(base)
     k_fixed = _checked_float("k_fixed", k_fixed, ">")
     alpha_hi = _checked_float("alpha_hi", alpha_hi, ">", ALPHA_BISECT_LO)
 

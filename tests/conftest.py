@@ -7,6 +7,7 @@ coexistence equilibrium is clearly unstable (Hurwitz margin < -1e-2).
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from retrodyn import Equilibrium, LyapunovCoeffs, ModelParams, OmegaForm, State, vector_field
 
@@ -48,6 +49,16 @@ def p_unstable():
 
 def log_uniform(rng, lo, hi):
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def _log_uniform(lo, hi):
+    """Hypothesis strategy for 10**e with e uniform in [lo, hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def _scaled(p, factor, names):
+    """p with each parameter in ``names`` multiplied by ``factor``."""
+    return p.replace(**{name: getattr(p, name) * factor for name in names})
 
 
 def sample_params(rng):

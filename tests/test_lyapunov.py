@@ -26,8 +26,7 @@ from retrodyn import (
 import retrodyn.lyapunov
 from retrodyn.lyapunov import _WEIGHTS, _grid_has_definite, _minors, _omega_entries, _positive_run
 
-from conftest import counting, eq_point, refuse_objects, sample_params, sample_params_mild, state_near
-from test_kernels import _scaled
+from conftest import _scaled, counting, eq_point, refuse_objects, sample_params, sample_params_mild, state_near
 
 ONES = LyapunovCoeffs(1.0, 1.0, 1.0)
 

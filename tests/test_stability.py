@@ -1,3 +1,6 @@
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,9 +17,11 @@ from retrodyn import (
     jacobian,
     routh_hurwitz_cubic,
 )
+from retrodyn.equilibria import _inner_point
+from retrodyn.model import PARAM_NAMES, _cubic_coeffs, _jacobian_entries
+from retrodyn.stability import _equilibrium_verdict
 
-from conftest import eq_point, sample_params
-from test_kernels import _scaled
+from conftest import _scaled, eq_point, sample_params
 
 # Frozen on first computation for the P2 inner equilibrium.
 P2_CUBIC = (3.4504337050805454, 3.5274741304785113, 1.1332094175960348)
@@ -34,6 +39,9 @@ def test_rh_nan_margin_is_not_stable(p2):
     assert routh_hurwitz_cubic(CubicCoeffs(1.0, nan, 1.0)).verdict is Verdict.MARGINAL
     assert routh_hurwitz_cubic(CubicCoeffs(1.0, 2.0, nan)).verdict is Verdict.MARGINAL
     assert routh_hurwitz_cubic(CubicCoeffs(-1.0, nan, 1.0)).verdict is Verdict.UNSTABLE
+    # NaN in the first margin as well: the rule does not depend on where the NaN sits
+    assert routh_hurwitz_cubic(CubicCoeffs(nan, 1.0, 1.0)).verdict is Verdict.MARGINAL
+    assert routh_hurwitz_cubic(CubicCoeffs(nan, 1.0, -1.0)).verdict is Verdict.UNSTABLE
     # P2 with every rate x 1e103: the cubic overflows and p*q - r is NaN,
     # without a warning (warnings fail the suite)
     p = p2.replace(**{name: 1e103 * getattr(p2, name) for name in ("a", "a_I", "m", "sigma", "alpha")})
@@ -146,3 +154,18 @@ def test_classify_matches_direct_pipeline(p2):
             verdicts.add(rep.verdict)
             nan_margins += rep.margins[2] != rep.margins[2]
     assert verdicts == set(Verdict) and nan_margins > 0
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p_unstable"])
+def test_kernels_stay_exact_on_fractions(name, request):
+    # The kernels hold no float literal, so Fraction parameters give an
+    # exact point and cubic, and the verdict the floats give.
+    p = request.getfixturevalue(name)
+    exact = SimpleNamespace(**{n: Fraction(getattr(p, n)) for n in PARAM_NAMES})
+    point = _inner_point(exact, exact.alpha, exact.k)
+    cubic = _cubic_coeffs(*_jacobian_entries(exact, exact.alpha, exact.k, *point))
+    assert all(type(x) is Fraction for x in point + cubic)
+    float_point = _inner_point(p, p.alpha, p.k)
+    assert [float(x) for x in point] == pytest.approx(float_point, rel=1e-12)
+    want = _equilibrium_verdict(p, p.alpha, p.k, *float_point)
+    assert _equilibrium_verdict(exact, exact.alpha, exact.k, *point) is want

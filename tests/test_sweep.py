@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from retrodyn import (
     Condition4Variant,
@@ -25,11 +26,11 @@ from retrodyn import (
 import retrodyn.lyapunov
 import retrodyn.sweep
 from retrodyn.lyapunov import _WEIGHTS
+from retrodyn.stability import _equilibrium_verdict
 from retrodyn.sweep import _ABSENT, _INNER, _anchored_rectangle
 
-from conftest import counting, refuse_objects, sample_params
+from conftest import _log_uniform, _scaled, counting, eq_point, refuse_objects, sample_params
 from test_acceptance import _family_maps
-from test_kernels import _scaled
 
 # Frozen: bisection endpoint for the P2 base at k = 1 (the analytic
 # loss-of-stability point is 37/15, resolved here to the 5e-6 stop).
@@ -41,9 +42,14 @@ def log_axis(lo, hi, n):
 
 
 def test_grid_validation(p2):
-    for base in (None, p2.__dict__, "p2"):
-        with pytest.raises(ParameterError, match="base"):
+    for base in (None, p2.__dict__, "p2", {"a": 1}):
+        # the same check and message for a grid, a cell and a margin search
+        with pytest.raises(ParameterError, match="base must be a ModelParams") as want:
             SweepGrid(base=base, alpha_values=(0.1,), k_values=(1.0,))
+        for call in (lambda: evaluate_cell(base, 0.5, 1.0), lambda: find_alpha_margin(base, 1.0, 2.0)):
+            with pytest.raises(ParameterError) as got:
+                call()
+            assert str(got.value) == str(want.value)
     with pytest.raises(ParameterError):
         SweepGrid(base=p2, alpha_values=(), k_values=(1.0,))
     with pytest.raises(ParameterError):
@@ -143,6 +149,30 @@ def test_unstable_cell_skips_the_weight_grid(p2, p_unstable, monkeypatch):
             assert cell.rh_verdict is Verdict.UNSTABLE and cell.sylvester_pd is False
     with pytest.raises(AssertionError, match="weight grid"):
         evaluate_cell(p2, 0.5, 1.0)  # Stable
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    time=_log_uniform(-150.0, 150.0),
+    population=_log_uniform(-150.0, 150.0),
+    alphas=st.lists(_log_uniform(-3.0, 2.0), min_size=1, max_size=4),
+    ks=st.lists(_log_uniform(-2.0, 3.0), min_size=1, max_size=4),
+)
+def test_unstable_equilibrium_has_no_definite_form(seed, time, population, alphas, ks):
+    # At the equilibrium Omega = -sym(P*J) with P = diag(D/V^^2, B/I^^2,
+    # A/C^^2) positive, so a definite Omega makes J Hurwitz (Lyapunov's
+    # theorem); the sweep relies on it, in floats, to skip the weight
+    # grid at Unstable cells.  Rates scale with the time unit and b_ij
+    # and alpha with the population unit.
+    base = sample_params(np.random.default_rng(seed))
+    for alpha in alphas:
+        for k in ks:
+            p = _scaled(base.replace(alpha=alpha, k=k), time, ("a", "a_I", "m", "sigma", "alpha"))
+            p = _scaled(p, population, ("b11", "b12", "b21", "b22", "alpha"))
+            eq = inner_equilibrium(p)
+            if eq is not None and _equilibrium_verdict(p, p.alpha, p.k, *eq_point(eq)) is Verdict.UNSTABLE:
+                assert search_coeffs(p, eq) is None, p
 
 
 def test_single_cell_map(p2):
