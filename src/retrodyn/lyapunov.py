@@ -30,9 +30,10 @@ unstable equilibrium, where no weights make Omega definite.
 
 The scalar kernels, condition 4 and the weight search run on Python
 floats: ``search_coeffs`` and the sweep's ``_grid_has_definite`` read
-the same enumeration of the definite grid points.  numpy is imported
-only where an array is built: ``OmegaForm.as_matrix``, and ``volterra``
-on an array.
+the same enumeration of the definite grid points.  Omega's entries, its
+minors and condition 4's sides hold no float literal, so the same
+kernels are exact on ``Fraction`` inputs.  numpy is imported only where
+an array is built: ``OmegaForm.as_matrix``, and ``volterra`` on an array.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 # The weights A and B that search_coeffs tries: 41 log-spaced values in
-# [1e-3, 1e3], the bits of np.logspace(-3.0, 3.0, 41).  They are written
-# out because 10.0 ** x rounds two of them differently.
+# [1e-3, 1e3], np.logspace(-3.0, 3.0, 41)'s bits where numpy's power uses
+# AVX-512.  libm's pow rounds indices 25 and 34 one ulp up.
 _WEIGHTS = (
     0.001, 0.001412537544622754, 0.001995262314968879, 0.002818382931264455,
     0.003981071705534973, 0.005623413251903491, 0.007943282347242814, 0.011220184543019636,
@@ -224,18 +225,18 @@ def w_dot(params: ModelParams, coeffs: LyapunovCoeffs, eq: Equilibrium, s: State
 
 
 def _omega_entries(params, alpha, k, A, B, D, eq_point, at_point):
-    # On floats, with alpha and k in place of params.alpha and params.k;
-    # a product of coordinates that underflows to 0 is divided by one
-    # factor at a time.
+    # With (alpha, k) in place of params' own; a coordinate product that
+    # underflows to 0 is divided one factor at a time.  Halving by / 2,
+    # not by a float literal, keeps Fraction inputs exact.
     p = params
     Ch, Ih, Vh = eq_point
     C, I, V = at_point
     w11 = _over_product(D * p.sigma, V, Vh)
     w22 = B * (p.a_I * p.b22 / Ih + _over_product(alpha * Ch * Vh, I, Ih, Ih))
     w33 = A * (p.a * p.b11 / Ch)
-    w12 = -0.5 * (_over_product(B * alpha * Ch, I, Ih) + _over_product(D * k * p.m, V, Vh))
-    w13 = 0.5 * A * alpha / Ch
-    w23 = 0.5 * (A * p.a * p.b12 / Ch + B * p.a_I * p.b21 / Ih - _over_product(B * alpha * V, I, Ih))
+    w12 = -(_over_product(B * alpha * Ch, I, Ih) + _over_product(D * k * p.m, V, Vh)) / 2
+    w13 = A / 2 * alpha / Ch
+    w23 = (A * p.a * p.b12 / Ch + B * p.a_I * p.b21 / Ih - _over_product(B * alpha * V, I, Ih)) / 2
     return w11, w22, w33, w12, w13, w23
 
 
@@ -295,19 +296,14 @@ def _condition4_sides(params: ModelParams, alpha, Ch, Ih, Vh) -> Tuple[float, fl
     corrected) at the equilibrium (Ch, Ih, Vh), with alpha in place of
     params.alpha."""
     p = params
-    bracket_I = p.a_I * p.b22 - (1.0 / Ih) * p.a_I * (1.0 - p.b21 * Ch - p.b22 * Ih) + p.m
-    bracket_C = p.a * p.b11 - (1.0 / Ch) * p.a * (1.0 - p.b11 * Ch - p.b12 * Ih)
+    bracket_I = p.a_I * p.b22 - (1 / Ih) * p.a_I * (1 - p.b21 * Ch - p.b22 * Ih) + p.m
+    bracket_C = p.a * p.b11 - (1 / Ch) * p.a * (1 - p.b11 * Ch - p.b12 * Ih)
     lhs = (bracket_I / Ih) * (bracket_C / Ch)
     cross = p.a * p.b12 / Ch + p.b21 / Ih
-    return lhs, 0.25 * _square(cross - Vh * Vh), 0.25 * _square(cross - alpha * Vh)
-
-
-def _square(x: float) -> float:
-    # A float power raises OverflowError where a product would give inf.
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
+    x = cross - Vh * Vh
+    y = cross - alpha * Vh
+    # Squared by a product: correctly rounded, inf on overflow.
+    return lhs, x * x / 4, y * y / 4
 
 
 def search_coeffs(params: ModelParams, eq: Equilibrium) -> Optional[Tuple[LyapunovCoeffs, OmegaForm]]:

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from retrodyn import (
 )
 
 import retrodyn.lyapunov
+from retrodyn.equilibria import _inner_point
 from retrodyn.lyapunov import _WEIGHTS, _grid_has_definite, _minors, _omega_entries, _positive_run
+from retrodyn.model import PARAM_NAMES, _jacobian_entries
 
 from conftest import _scaled, counting, eq_point, refuse_objects, sample_params, sample_params_mild, state_near
 
@@ -179,6 +183,33 @@ def test_omega_entries_at_equilibrium(p2):
     assert form.omega33 == p2.a * p2.b11 / pt.C
 
 
+def test_omega_at_equilibrium_is_minus_sym_pj():
+    # At the inner equilibrium Omega = -sym(P.J), with J the Jacobian in
+    # (V, I, C) order and P = diag(D/V^^2, B/I^^2, A/C^^2): the identity
+    # behind the sweep's skip of the weight search at Unstable cells.
+    # Exact, on random rational parameters and weights.
+    rng = np.random.default_rng(29)
+
+    def rational():
+        return Fraction(int(rng.integers(1, 301)), int(rng.integers(1, 101)))
+
+    found = 0
+    while found < 120:
+        p = SimpleNamespace(**{name: rational() for name in PARAM_NAMES})
+        point = _inner_point(p, p.alpha, p.k)
+        if point is None:
+            continue
+        found += 1
+        C, I, V = point
+        A, B, D = rational(), rational(), rational()
+        w11, w22, w33, w12, w13, w23 = _omega_entries(p, p.alpha, p.k, A, B, D, point, point)
+        j = _jacobian_entries(p, p.alpha, p.k, C, I, V)
+        J = [[j[3 * (2 - r) + (2 - c)] for c in range(3)] for r in range(3)]  # (V, I, C) order
+        P = (D / (V * V), B / (I * I), A / (C * C))
+        want = [[-(P[r] * J[r][c] + P[c] * J[c][r]) / 2 for c in range(3)] for r in range(3)]
+        assert [[w11, w12, w13], [w12, w22, w23], [w13, w23, w33]] == want, p
+
+
 def test_omega_underflowing_divisor(p2):
     # V*V^, I*I^ and I*I^^2 underflow to 0 at these octant states; the
     # entries then divide by one factor at a time instead of raising
@@ -286,8 +317,8 @@ def test_condition4_is_not_sufficient(p_unstable):
 
 
 def test_condition4_rhs_overflows_to_inf(p2):
-    # a*b12/C^ is finite but its square is not; a float power raises
-    # OverflowError there, where the rhs must read inf and fail to hold
+    # a*b12/C^ is finite but its square is not: the rhs must read inf
+    # and fail to hold
     p = p2.replace(a=1e308)
     eq = inner_equilibrium(p)
     for variant in Condition4Variant:
@@ -326,15 +357,34 @@ def test_search_skips_overflowed_weights(p2):
     assert np.all(np.linalg.eigvalsh(form.as_matrix()) > 0.0)
 
 
+# The weight grid's bits are the contract: np.logspace(-3.0, 3.0, 41) where
+# numpy's power runs its AVX-512 kernel.
+WEIGHT_HEX = (
+    "0x1.0624dd2f1a9fcp-10", "0x1.7249ca3bee77bp-10", "0x1.0585e4c78b079p-9", "0x1.71693d08e6beep-9",
+    "0x1.04e74cc73ee88p-8", "0x1.7089380241edfp-8", "0x1.044914f3c02b0p-7", "0x1.6fa9bad56bdb7p-7",
+    "0x1.03ab3d12bc2c4p-6", "0x1.6ecac5300270fp-6", "0x1.030dc4ea03a72p-5", "0x1.6dec56bfd58e5p-5",
+    "0x1.0270ac3f8a9f8p-4", "0x1.6d0e6f32e6ea2p-4", "0x1.01d3f2d9684d1p-3", "0x1.6c310e3769f3fp-3",
+    "0x1.0137987dd704bp-2", "0x1.6b54337bc3b62p-2", "0x1.009b9cf334250p-1", "0x1.6a77deae8ab8bp-1",
+    "0x1.0000000000000p+0", "0x1.699c0f7e86e0ep+0", "0x1.fec982d5bb8acp+0", "0x1.68c0c59ab1560p+1",
+    "0x1.fd93c1f526dd8p+1", "0x1.67e600b234625p+2", "0x1.fc5ebcec1353fp+2", "0x1.670bc0746b541p+3",
+    "0x1.fb2a73489786bp+3", "0x1.66320490e2622p+4", "0x1.f9f6e4990f227p+4", "0x1.6558ccb7568cap+5",
+    "0x1.f8c4106c1abf8p+5", "0x1.64801897b580dp+6", "0x1.f791f6509fb5ep+6", "0x1.63a7e7e21d783p+7",
+    "0x1.f66095d5c7f4ap+7", "0x1.62d03a46dd1fep+8", "0x1.f52fee8b01d8cp+8", "0x1.61f90f7673780p+9",
+    "0x1.f400000000000p+9",
+)
+
+
 def test_weights_are_numpy_logspace():
     # Written out as literals so that importing lyapunov loads no numpy.
-    # libm's pow, 10.0 ** x, rounds two points to a neighbouring double:
-    # index 25 (5.623413251903491) and index 34 (125.89254117941663).
-    want = np.logspace(-3.0, 3.0, 41).tolist()
+    # np.logspace's bits depend on the SIMD power numpy dispatches to:
+    # without AVX-512 (and in libm's pow, 10.0 ** x) indices 25 and 34
+    # round one ulp up, so numpy is compared only to within 1 ulp.
     assert type(_WEIGHTS) is tuple
-    assert [w.hex() for w in _WEIGHTS] == [w.hex() for w in want]
+    assert [w.hex() for w in _WEIGHTS] == list(WEIGHT_HEX)
     assert all(lo < hi for lo, hi in zip(_WEIGHTS, _WEIGHTS[1:]))
     assert _WEIGHTS[20] == 1.0
+    for w, x in zip(_WEIGHTS, np.logspace(-3.0, 3.0, 41).tolist()):
+        assert abs(w - x) <= math.ulp(w)
 
 
 def test_positive_run_hand_cases():

@@ -18,6 +18,7 @@ from retrodyn import (
     routh_hurwitz_cubic,
 )
 from retrodyn.equilibria import _inner_point
+from retrodyn.lyapunov import _condition4_sides, _minors, _omega_entries
 from retrodyn.model import PARAM_NAMES, _cubic_coeffs, _jacobian_entries
 from retrodyn.stability import _equilibrium_verdict
 
@@ -159,13 +160,23 @@ def test_classify_matches_direct_pipeline(p2):
 @pytest.mark.parametrize("name", ["p1", "p2", "p_unstable"])
 def test_kernels_stay_exact_on_fractions(name, request):
     # The kernels hold no float literal, so Fraction parameters give an
-    # exact point and cubic, and the verdict the floats give.
+    # exact point and cubic, and the verdict the floats give; Omega's
+    # entries at rational weights, its minors and condition 4's sides
+    # stay exact as well.
     p = request.getfixturevalue(name)
     exact = SimpleNamespace(**{n: Fraction(getattr(p, n)) for n in PARAM_NAMES})
     point = _inner_point(exact, exact.alpha, exact.k)
     cubic = _cubic_coeffs(*_jacobian_entries(exact, exact.alpha, exact.k, *point))
-    assert all(type(x) is Fraction for x in point + cubic)
+    weights = (Fraction(1, 3), Fraction(5, 2), Fraction(1))
+    entries = _omega_entries(exact, exact.alpha, exact.k, *weights, point, point)
+    minors = _minors(*entries)
+    sides = _condition4_sides(exact, exact.alpha, *point)
+    assert all(type(x) is Fraction for x in point + cubic + entries + minors + sides)
     float_point = _inner_point(p, p.alpha, p.k)
     assert [float(x) for x in point] == pytest.approx(float_point, rel=1e-12)
     want = _equilibrium_verdict(p, p.alpha, p.k, *float_point)
     assert _equilibrium_verdict(exact, exact.alpha, exact.k, *point) is want
+    float_entries = _omega_entries(p, p.alpha, p.k, *map(float, weights), float_point, float_point)
+    float_sides = _condition4_sides(p, p.alpha, *float_point)
+    got = [float(x) for x in entries + minors + sides]
+    assert got == pytest.approx(float_entries + _minors(*float_entries) + float_sides, rel=1e-12)
