@@ -21,8 +21,8 @@ from typing import Optional
 from .errors import ParameterError
 from .model import ModelParams, State, _rhs
 
-# Inner solutions this close to (or past) the octant boundary are
-# reported as absent rather than returned as spurious equilibria.
+# C or I this close to (or past) 0 means no inner point, as their Cramer
+# numerators can cancel; V = k*m*I/sigma cannot, so it needs only V > 0.
 POSITIVITY_FLOOR = 1e-12
 
 # Relative singularity threshold for the reduced 2x2 system.
@@ -72,7 +72,7 @@ def _inner_point(p: ModelParams, alpha: float, k: float) -> Optional[tuple]:
     C = (a22 - a12 * r2) / det
     I = (a11 * r2 - a21) / det
     V = k * p.m * I / p.sigma
-    if C > POSITIVITY_FLOOR and I > POSITIVITY_FLOOR and V > POSITIVITY_FLOOR:
+    if C > POSITIVITY_FLOOR and I > POSITIVITY_FLOOR and V > 0:
         return C, I, V
     return None
 
@@ -82,8 +82,8 @@ def inner_equilibrium(params: ModelParams) -> Optional[Equilibrium]:
 
     Solves the reduced 2x2 system by Cramer's rule and recovers
     V = k*m*I/sigma.  Returns None when the system is singular
-    (relative determinant below ``SINGULAR_RTOL``) or when any
-    coordinate is not above ``POSITIVITY_FLOOR`` (NaN included).
+    (relative determinant below ``SINGULAR_RTOL``), when C or I is not
+    above ``POSITIVITY_FLOOR`` or when V is not > 0 (NaN included).
     """
     point = _inner_point(params, params.alpha, params.k)
     if point is None:

@@ -84,11 +84,10 @@ class IntegrationOptions:
             object.__setattr__(self, "dt", _checked_float("dt", self.dt, ">"))
             if self.dt > self.t_end:
                 raise ParameterError(f"dt={self.dt!r} exceeds t_end={self.t_end!r}")
-        for name in ("rel_tol", "abs_tol"):
-            value = _checked_float(name, getattr(self, name), ">")
-            if not value < 1.0:
-                raise ParameterError(f"{name} must lie in (0, 1), got {value!r}")
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "rel_tol", _checked_float("rel_tol", self.rel_tol, ">"))
+        if not self.rel_tol < 1.0:
+            raise ParameterError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
+        object.__setattr__(self, "abs_tol", _checked_float("abs_tol", self.abs_tol, ">"))
         if not (isinstance(self.max_steps, int) and not isinstance(self.max_steps, bool) and self.max_steps > 0):
             raise ParameterError(f"max_steps must be a positive integer, got {self.max_steps!r}")
 

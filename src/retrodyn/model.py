@@ -27,6 +27,7 @@ package does not load it.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -71,14 +72,11 @@ class ModelParams:
             object.__setattr__(self, name, _checked_float(name, getattr(self, name), bound))
 
     def replace(self, **changes) -> "ModelParams":
-        """Return a copy with the given fields replaced; only those are re-checked."""
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__)
-        for name, value in changes.items():
+        """Return a copy with the given fields replaced, checked as the constructor checks them."""
+        for name in changes:
             if name not in _BOUND:
                 raise ParameterError(f"{name!r} is not a model parameter")
-            new.__dict__[name] = _checked_float(name, value, _BOUND[name])
-        return new
+        return dataclasses.replace(self, **changes)
 
 
 @dataclass(frozen=True)

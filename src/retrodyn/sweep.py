@@ -43,12 +43,12 @@ def _check_base(base) -> None:
         raise ParameterError(f"base must be a ModelParams, got {base!r}")
 
 
-def _check_axis(name: str, values: Sequence[float]) -> tuple:
+def _check_axis(name: str, values: Sequence[float], bound: str) -> tuple:
     try:
         items = iter(values)
     except TypeError:
         raise ParameterError(f"{name} must be a sequence of numbers, got {values!r}") from None
-    out = tuple(_checked_float(name, v, ">") for v in items)
+    out = tuple(_checked_float(name, v, bound) for v in items)
     if not out:
         raise ParameterError(f"{name} must be nonempty")
     for prev, nxt in zip(out, out[1:]):
@@ -67,8 +67,8 @@ class SweepGrid:
 
     def __post_init__(self):
         _check_base(self.base)
-        object.__setattr__(self, "alpha_values", _check_axis("alpha_values", self.alpha_values))
-        object.__setattr__(self, "k_values", _check_axis("k_values", self.k_values))
+        object.__setattr__(self, "alpha_values", _check_axis("alpha_values", self.alpha_values, _BOUND["alpha"]))
+        object.__setattr__(self, "k_values", _check_axis("k_values", self.k_values, _BOUND["k"]))
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,11 @@ def _csv_bool(flag: bool) -> str:
 def evaluate_cell(base: ModelParams, alpha: float, k: float) -> SweepCell:
     """Full diagnostic battery for a single (alpha, k) combination.
 
-    The cell is that of p = ``base.replace(alpha=alpha, k=k)``: alpha
-    and k are checked as ``replace`` checks them, alpha first, and the
-    error is the same.  The result is one of the shared cells, and its
-    ``sylvester_pd`` is ``search_coeffs(p, eq) is not None``, decided
-    as the module docstring says.  A bad base fails as in ``SweepGrid``.
+    The cell is that of p = ``base.replace(alpha=alpha, k=k)``, checked
+    as the constructor checks it: alpha first, with the same error.  The
+    result is one of the shared cells, and its ``sylvester_pd`` is
+    ``search_coeffs(p, eq) is not None``, decided as the module
+    docstring says.  A bad base fails as in ``SweepGrid``.
     """
     _check_base(base)
     alpha = _checked_float("alpha", alpha, _BOUND["alpha"])

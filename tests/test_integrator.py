@@ -62,8 +62,10 @@ def test_options_validation():
         IntegrationOptions(t_end=1.0, dt=2.0)
     with pytest.raises(ParameterError):
         IntegrationOptions(t_end=1.0, dt=0.1, rel_tol=0.0)
+    with pytest.raises(ParameterError, match=r"rel_tol must lie in \(0, 1\)"):
+        IntegrationOptions(t_end=1.0, dt=0.1, rel_tol=1.5)
     with pytest.raises(ParameterError):
-        IntegrationOptions(t_end=1.0, dt=0.1, abs_tol=1.5)
+        IntegrationOptions(t_end=1.0, dt=0.1, abs_tol=0.0)
     with pytest.raises(ParameterError):
         IntegrationOptions(t_end=1.0, dt=0.1, max_steps=0)
     with pytest.raises(ParameterError):
@@ -78,6 +80,8 @@ def test_options_validation():
     # numeric fields are stored as floats
     opts = IntegrationOptions(t_end=2, dt=1, rel_tol=np.float64(1e-6))
     assert [type(v) for v in (opts.t_end, opts.dt, opts.rel_tol, opts.abs_tol)] == [float] * 4
+    # abs_tol is a population, so any positive size is allowed
+    assert IntegrationOptions(t_end=1.0, dt=0.1, abs_tol=1.5).abs_tol == 1.5
 
 
 def test_initial_state_validation(p2):

@@ -58,6 +58,9 @@ def test_params_replace_revalidates(p1):
         p1.replace(alpha=True)
     with pytest.raises(ParameterError, match="'beta'"):
         p1.replace(beta=1.0)
+    # unknown names first, in call order, then the constructor's checks
+    with pytest.raises(ParameterError, match="'gamma'"):
+        p1.replace(alpha=-1.0, gamma=1.0, beta=1.0)
     q = p1.replace(alpha=0.25, k=3)
     assert q == ModelParams(**{**vars(p1), "alpha": 0.25, "k": 3.0})
     assert type(q.k) is float

@@ -56,8 +56,8 @@ def test_grid_validation(p2):
         SweepGrid(base=p2, alpha_values=(0.1, 0.1), k_values=(1.0,))
     with pytest.raises(ParameterError):
         SweepGrid(base=p2, alpha_values=(0.2, 0.1), k_values=(1.0,))
-    with pytest.raises(ParameterError):
-        SweepGrid(base=p2, alpha_values=(0.0, 0.1), k_values=(1.0,))
+    with pytest.raises(ParameterError, match="'k_values' must be > 0"):
+        SweepGrid(base=p2, alpha_values=(0.1,), k_values=(0.0, 1.0))
     with pytest.raises(ParameterError):
         SweepGrid(base=p2, alpha_values=(0.1,), k_values=(-1.0,))
     with pytest.raises(ParameterError):
@@ -76,6 +76,11 @@ def test_grid_validation(p2):
     assert grid.alpha_values == (0.1, 0.2)
     assert grid.k_values == (1.0, 2.0)
     assert all(type(v) is float for v in grid.alpha_values + grid.k_values)
+    # each axis takes its parameter's rule: alpha may be 0, as in ModelParams
+    grid = SweepGrid(base=p2, alpha_values=(0, 0.1), k_values=(1.0,))
+    assert grid.alpha_values == (0.0, 0.1)
+    with pytest.raises(ParameterError, match="'alpha_values' must be >= 0"):
+        SweepGrid(base=p2, alpha_values=(-0.1, 0.1), k_values=(1.0,))
 
 
 def test_evaluate_cell_matches_components(p2):
@@ -438,6 +443,19 @@ def test_alpha_margin_brackets_transition(p2):
 
     assert stable_at(margin)
     assert not stable_at(margin + 1e-4)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 12: the bisection assumes the stable alphas form one interval")
+def test_alpha_margin_does_not_depend_on_alpha_hi():
+    # alpha and k are placeholders; the stable alphas at k_fixed are
+    # [1e-6, 1.8793) and [2.6473, 3.6745), so the margin is 3.6745 for
+    # either alpha_hi, but bisection from 10 ends at 1.87804.
+    base = ModelParams(a=1.3786393907248482, a_I=0.271137052179412, b11=4.544161517175562,
+                       b12=1.0397318121654304, b21=0.1429919060539375, b22=3.4923681907245343,
+                       alpha=1.0, m=0.21614056282300886, k=1.0, sigma=0.17279386705892433)
+    k_fixed = 4.853198435729832
+    assert find_alpha_margin(base, k_fixed, 10.0) == find_alpha_margin(base, k_fixed, 100.0)
 
 
 def _margin_by_components(base, k_fixed, alpha_hi):

@@ -33,13 +33,11 @@ from retrodyn.equilibria import _inner_point
 from retrodyn.lyapunov import _WEIGHTS, _grid_has_definite, _minors, _omega_entries
 from retrodyn.model import _cubic_coeffs, _jacobian_entries
 from retrodyn.stability import _equilibrium_verdict, _hurwitz
+from retrodyn.sweep import evaluate_cell
 
 from conftest import sample_params, sample_params_mild, state_near
 
 EXP = 40
-# abs_tol carries the cell unit; 2**-50 keeps abs_tol*P below
-# IntegrationOptions' cap of 1 for every P = 2**e with |e| <= EXP.
-ABS_TOL = 2.0 ** -50
 
 
 def _units(rng):
@@ -114,9 +112,9 @@ def _trajectory_bits(p, q, units, mode, rng):
     T, P, Q = units
     s0 = state_near(rng, State(0.5, 0.3, 0.4), 1.0)
     dt = 0.05 if mode is IntegrationMode.FIXED_RK4 else None
-    opts = IntegrationOptions(t_end=4.0, dt=dt, abs_tol=ABS_TOL, mode=mode)
+    opts = IntegrationOptions(t_end=4.0, dt=dt, mode=mode)
     new_opts = IntegrationOptions(
-        t_end=4.0 * T, dt=None if dt is None else dt * T, abs_tol=ABS_TOL * P, mode=mode,
+        t_end=4.0 * T, dt=None if dt is None else dt * T, abs_tol=opts.abs_tol * P, mode=mode,
     )
     run = integrate(p, s0, opts)
     new_run = integrate(q, State(P * s0.C, P * s0.I, Q * s0.V), new_opts)
@@ -170,3 +168,18 @@ def test_condition4_is_unit_free(variant):
         eq, new_eq = inner_equilibrium(p), inner_equilibrium(q)
         if eq is not None and new_eq is not None:
             assert condition4(q, new_eq, variant).holds == condition4(p, eq, variant).holds, units
+
+
+@pytest.mark.parametrize("column", [
+    "inner_exists", "rh_verdict", "sylvester_pd", "cond4_corrected",
+    pytest.param("cond4_as_written", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 5: condition 4 as written adds terms of different units")),
+])
+def test_cell_depends_on_alpha_times_k(column):
+    # A virus unit alone (T = P = 1) maps (alpha, k) to (alpha/Q, k*Q) and
+    # leaves every other parameter as it is (ROADMAP item 12).
+    for p, _, (_, _, Q), _ in _draws(71, 400):
+        q = _rescaled(p, 1.0, 1.0, Q)
+        new, cell = evaluate_cell(q, q.alpha, q.k), evaluate_cell(p, p.alpha, p.k)
+        assert getattr(new, column) == getattr(cell, column), Q
