@@ -255,15 +255,9 @@ def omega_at(params: ModelParams, coeffs: LyapunovCoeffs, eq: Equilibrium, s: St
     """Coefficient matrix of the quadratic form -dW/dt at state ``s``."""
     _require_inner(eq)
     _require_positive(s)
-    return _form(params, coeffs, eq.point, s)
-
-
-def _form(params, coeffs, pt, s):
-    # Unchecked: search_coeffs evaluates at an inner point that may hold an
-    # overflowed (inf) coordinate, which only leaves Omega indefinite.
     entries = _omega_entries(
         params, params.alpha, params.k, coeffs.A, coeffs.B, coeffs.D,
-        (pt.C, pt.I, pt.V), (s.C, s.I, s.V),
+        (eq.point.C, eq.point.I, eq.point.V), (s.C, s.I, s.V),
     )
     return OmegaForm(*entries, evaluated_at=s)
 
@@ -315,15 +309,18 @@ def search_coeffs(params: ModelParams, eq: Equilibrium) -> Optional[Tuple[Lyapun
     Omega definite, the one maximizing the smallest minor wins; a tie
     goes to the smaller A, then the smaller B.  A pair whose minors
     overflow to NaN is not definite and never wins.  None is returned
-    when no pair makes Omega definite.
+    when no pair makes Omega definite.  The form returned holds the
+    winner's entries as the search evaluated them.
     """
+    # The point is not checked: an inner point may hold an overflowed
+    # (inf) coordinate, which only leaves Omega indefinite.
     _require_inner(eq)
     hits = _definite_points(params, params.alpha, params.k, (eq.point.C, eq.point.I, eq.point.V))
-    best = max(hits, key=lambda hit: (min(hit[2]), -hit[0], -hit[1]), default=None)
+    best = max(hits, key=lambda hit: (min(hit[3]), -hit[0], -hit[1]), default=None)
     if best is None:
         return None
-    coeffs = LyapunovCoeffs(A=_WEIGHTS[best[0]], B=_WEIGHTS[best[1]], D=1.0)
-    return coeffs, _form(params, coeffs, eq.point, eq.point)
+    i, j, entries, _ = best
+    return LyapunovCoeffs(A=_WEIGHTS[i], B=_WEIGHTS[j], D=1.0), OmegaForm(*entries, evaluated_at=eq.point)
 
 
 def _positive_run(c2, c1, c0):
@@ -350,8 +347,8 @@ def _positive_run(c2, c1, c0):
 
 
 def _definite_points(params: ModelParams, alpha: float, k: float, pt: tuple):
-    """Yield (i, j, (delta1, delta2, delta3)) for each grid weight
-    (A, B, D) = (_WEIGHTS[i], _WEIGHTS[j], 1) that makes Omega definite
+    """Yield (i, j, entries, (delta1, delta2, delta3)) for each grid
+    weight (A, B, D) = (_WEIGHTS[i], _WEIGHTS[j], 1) that makes Omega definite
     at the equilibrium pt = (C, I, V), with (alpha, k) in place of
     params.alpha and params.k.
 
@@ -362,8 +359,8 @@ def _definite_points(params: ModelParams, alpha: float, k: float, pt: tuple):
     delta3 is a quadratic in A with c2 <= 0 and c0 <= 0; each positive
     set is one interval.  Only the grid points inside them are
     evaluated.  Out of the closed forms' safe range every grid point
-    is.  Each point's minors come from _minors and _omega_entries, the
-    operations OmegaForm applies, on plain floats.
+    is.  Each point's entries come from _omega_entries and its minors
+    from _minors, the operations OmegaForm applies, on plain floats.
     """
     # Every entry is linear in (A, B, D), and no entry holds both an A
     # and a D term, so two evaluations give each weight's part.
@@ -386,9 +383,10 @@ def _definite_points(params: ModelParams, alpha: float, k: float, pt: tuple):
                 -w11 * qB * qB,
             )
         for i in a_run:
-            d1, d2, d3 = minors = _minors(*_omega_entries(params, alpha, k, _WEIGHTS[i], B, 1.0, pt, pt))
+            entries = _omega_entries(params, alpha, k, _WEIGHTS[i], B, 1.0, pt, pt)
+            d1, d2, d3 = minors = _minors(*entries)
             if d1 > 0.0 and d2 > 0.0 and d3 > 0.0:
-                yield i, j, minors
+                yield i, j, entries, minors
 
 
 def _grid_has_definite(params: ModelParams, alpha: float, k: float, pt: tuple) -> bool:

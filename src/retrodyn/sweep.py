@@ -154,8 +154,6 @@ def _anchored_rectangle(stable) -> Optional[Tuple[int, int]]:
     Returns the far-corner indices (i, j), or None when the anchor cell
     itself is False.  Area ties resolve toward the larger alpha extent.
     """
-    if not stable[0][0]:
-        return None
     n_alpha, n_k = len(stable), len(stable[0])
     best = None
     best_area = 0

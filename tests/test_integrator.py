@@ -26,7 +26,7 @@ from retrodyn import (
 import retrodyn.integrator
 from retrodyn.integrator import _check_initial
 
-from conftest import sample_params, sample_params_mild, state_near
+from conftest import counting, sample_params, sample_params_mild, state_near
 
 ONES = LyapunovCoeffs(1.0, 1.0, 1.0)
 
@@ -213,6 +213,18 @@ def test_negativity_rejection_shortens_step():
     assert traj.times[1] < 2.5
     assert traj.states.min() >= -opts.abs_tol
     assert traj.times[-1] == 5.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 10: fixed mode retries every step from the nominal dt")
+def test_fixed_mode_resumes_a_shortened_step(monkeypatch):
+    # A stiff start: each step from dt = 0.5 is halved about nine times
+    # before it is accepted, 11,007 _rk4 calls for 1,123 accepted steps.
+    # A fixed mode that resumes from its shortened step is held to two
+    # calls per accepted step.
+    calls = counting(monkeypatch, retrodyn.integrator, "_rk4")
+    traj = integrate(_HOT, State(1e3, 1e3, 1e3), fixed(0.5, 1.0))
+    assert len(calls) <= 2 * (len(traj.times) - 1)
 
 
 # Frozen bits of integrate on configs that between them take every

@@ -27,8 +27,11 @@ from retrodyn import (
 
 import retrodyn.lyapunov
 from retrodyn.equilibria import _inner_point
-from retrodyn.lyapunov import _WEIGHTS, _grid_has_definite, _minors, _omega_entries, _positive_run
-from retrodyn.model import PARAM_NAMES, _jacobian_entries
+from retrodyn.lyapunov import (
+    _WEIGHTS, _definite_points, _grid_has_definite, _minors, _omega_entries, _positive_run,
+)
+from retrodyn.model import PARAM_NAMES, _cubic_coeffs, _jacobian_entries
+from retrodyn.stability import _hurwitz
 
 from conftest import _scaled, counting, eq_point, refuse_objects, sample_params, sample_params_mild, state_near
 
@@ -520,6 +523,67 @@ def test_search_at_an_overflowed_inner_point(p1):
     assert (eq.point.C, eq.point.I, eq.point.V) == (1.0, 0.5, math.inf)
     assert search_coeffs(p, eq) is None
     assert _grid_has_definite(p, p.alpha, p.k, eq_point(eq)) is False
+
+
+def test_search_reports_the_form_it_ranked(p1, p2, monkeypatch):
+    # The form search_coeffs returns holds the winner's entries from the
+    # enumeration: Omega is evaluated no more often than exhausting
+    # _definite_points does.
+    calls = counting(monkeypatch, retrodyn.lyapunov, "_omega_entries")
+    for p in (p1, p2, _rates_times(p2, 1e101)):
+        eq = inner_equilibrium(p)
+        hits = list(_definite_points(p, p.alpha, p.k, eq_point(eq)))
+        enumerated = len(calls)
+        coeffs, form = search_coeffs(p, eq)
+        assert len(calls) == 2 * enumerated
+        del calls[:]
+        (i, j, entries, _), = [hit for hit in hits if (_WEIGHTS[hit[0]], _WEIGHTS[hit[1]]) == (coeffs.A, coeffs.B)]
+        assert (form.omega11, form.omega22, form.omega33, form.omega12, form.omega13, form.omega23) == entries
+        assert form.evaluated_at is eq.point
+
+
+def _exact_failures(p, A, B, form):
+    """The oracle checks that the weights (A, B, 1) and their float form
+    fail at the exact inner equilibrium of p's floats."""
+    x = SimpleNamespace(**{name: Fraction(getattr(p, name)) for name in PARAM_NAMES})
+    pt = _inner_point(x, x.alpha, x.k)
+    if pt is None:
+        return ["no exact inner equilibrium"]
+    failed = []
+    if not all(d > 0 for d in _minors(*_omega_entries(x, x.alpha, x.k, Fraction(A), Fraction(B), 1, pt, pt))):
+        failed.append("Omega not exactly definite")
+    if not np.all(np.linalg.eigvalsh(form.as_matrix()) > 0.0):
+        failed.append("eigvalsh not positive")
+    if not all(margin > 0 for margin in _hurwitz(*_cubic_coeffs(*_jacobian_entries(x, x.alpha, x.k, *pt)))[0]):
+        failed.append("exact Hurwitz margin not positive")
+    return failed
+
+
+def test_grid_weights_pass_the_exact_oracles():
+    # The checks that are to replace the grid's pinned answers (ROADMAP
+    # item 4), held against the grid: the weights search_coeffs returns
+    # and the first definite point, where the sweep stops, make Omega
+    # exactly definite, are positive definite by eigvalsh, and sit at an
+    # exactly Hurwitz equilibrium.  Every second draw is in a time unit
+    # 2**e away.
+    rng = np.random.default_rng(24)
+    checked = 0
+    for index in range(600):
+        p = sample_params(rng)
+        if index % 2:
+            e = int(rng.integers(-40, 41))
+            p = p.replace(**{name: math.ldexp(getattr(p, name), e) for name in ("a", "a_I", "m", "sigma", "alpha")})
+        eq = inner_equilibrium(p)
+        hit = eq and search_coeffs(p, eq)
+        if not hit:
+            continue
+        coeffs, form = hit
+        i, j, entries, _ = next(_definite_points(p, p.alpha, p.k, eq_point(eq)))
+        assert _exact_failures(p, coeffs.A, coeffs.B, form) == [], p
+        first = OmegaForm(*entries, evaluated_at=eq.point)
+        assert _exact_failures(p, _WEIGHTS[i], _WEIGHTS[j], first) == [], p
+        checked += 1
+    assert checked > 400
 
 
 def test_inner_equilibrium_required(p1):
