@@ -391,5 +391,19 @@ def _definite_points(params: ModelParams, alpha: float, k: float, pt: tuple):
 
 def _grid_has_definite(params: ModelParams, alpha: float, k: float, pt: tuple) -> bool:
     """``search_coeffs(p, eq) is not None`` for p = params with (alpha, k)
-    in place of its own and eq the inner equilibrium at pt = (C, I, V)."""
+    in place of its own and eq the inner equilibrium at pt = (C, I, V).
+
+    First guess: Korobeinikov's weights (A, B, D) = (C^, I^, V^/k),
+    scaled to D = 1 and each rounded up onto the grid (a NaN ratio to
+    the first weight, a ratio above the grid to the last).  That point
+    is evaluated as _definite_points evaluates its points, so a definite
+    guess is a definite grid point; otherwise the enumeration decides.
+    """
+    Ch, Ih, Vh = pt
+    last = len(_WEIGHTS) - 1
+    A = _WEIGHTS[min(bisect_left(_WEIGHTS, Ch * k / Vh), last)]
+    B = _WEIGHTS[min(bisect_left(_WEIGHTS, Ih * k / Vh), last)]  # I^*k/V^ = sigma/m
+    d1, d2, d3 = _minors(*_omega_entries(params, alpha, k, A, B, 1.0, pt, pt))
+    if d1 > 0.0 and d2 > 0.0 and d3 > 0.0:
+        return True
     return next(_definite_points(params, alpha, k, pt), None) is not None

@@ -31,6 +31,16 @@ class Verdict(enum.Enum):
     UNSTABLE = "Unstable"
     MARGINAL = "Marginal"
 
+    # Each member is its own only instance (lookup by value, copy and
+    # pickle all return it), so identity hashes as well as the name;
+    # enum's own __hash__ is Python code run on every dict lookup.
+    __hash__ = object.__hash__
+
+
+# Bound once: on CPython 3.11 each Verdict.X lookup runs enum's
+# descriptor in Python.
+_STABLE, _UNSTABLE, _MARGINAL = Verdict.STABLE, Verdict.UNSTABLE, Verdict.MARGINAL
+
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -46,11 +56,11 @@ def _hurwitz(p, q, r) -> tuple:
     margins = (p, r, p * q - r)
     m0, m1, m2 = margins
     if m0 < -MARGINAL_TOL or m1 < -MARGINAL_TOL or m2 < -MARGINAL_TOL:
-        verdict = Verdict.UNSTABLE
+        verdict = _UNSTABLE
     elif m0 > MARGINAL_TOL and m1 > MARGINAL_TOL and m2 > MARGINAL_TOL:
-        verdict = Verdict.STABLE
+        verdict = _STABLE
     else:
-        verdict = Verdict.MARGINAL
+        verdict = _MARGINAL
     return margins, verdict
 
 

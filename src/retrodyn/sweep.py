@@ -16,11 +16,13 @@ Omega = -sym(P*J), with J the Jacobian in (V, I, C) order and
 P = diag(D/V^^2, B/I^^2, A/C^^2) positive, so a definite Omega makes J
 Hurwitz (Lyapunov's theorem): an Unstable cell's ``sylvester_pd`` is
 false without a look at the weights.  Stable and Marginal cells (a
-float Marginal can still be exactly Hurwitz) stop at the first definite
-point of the enumeration ``search_coeffs`` maximizes over: the points
-of the 41x41 grid inside closed-form intervals (every point out of
-their range), each checked exactly.  So the answer is
-``search_coeffs(...) is not None``, on Python floats.
+float Marginal can still be exactly Hurwitz) first try one grid point,
+Korobeinikov's weights (C^, I^, V^/k) rounded up onto the grid, which
+is definite at most definite cells.  Otherwise they stop at the first
+definite point of the enumeration ``search_coeffs`` maximizes over: the
+points of the 41x41 grid inside closed-form intervals (every point out
+of their range).  Each point is checked as ``search_coeffs`` checks it,
+so the answer is ``search_coeffs(...) is not None``, on Python floats.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .equilibria import _inner_point
 from .errors import ParameterError, _checked_float
 from .lyapunov import _condition4_sides, _grid_has_definite
 from .model import _BOUND, ModelParams
-from .stability import Verdict, _equilibrium_verdict
+from .stability import _STABLE, _UNSTABLE, Verdict, _equilibrium_verdict
 
 ALPHA_BISECT_LO = 1e-6
 
@@ -103,23 +105,31 @@ class SweepResult:
     def write_csv(self, stream: IO[str]):
         """Rows in row-major (alpha outer, k inner) order; a trailing
         comment carries the stable-rectangle corner when one exists."""
-        stream.write("alpha,k,inner_exists,rh_verdict,sylvester_pd,cond4_as_written,cond4_corrected\n")
-        k_texts = ["%.17g" % k for k in self.grid.k_values]
+        lines = ["alpha,k,inner_exists,rh_verdict,sylvester_pd,cond4_as_written,cond4_corrected\n"]
+        k_texts = ["%.17g," % k for k in self.grid.k_values]
+        texts = {}  # each distinct cell's text, by id: the cells are shared
         for alpha, row in zip(self.grid.alpha_values, self.cells):
-            alpha_text = "%.17g" % alpha
+            alpha_text = "%.17g," % alpha
             for k_text, cell in zip(k_texts, row):
-                if cell.inner_exists:
-                    tail = "%s,%s,%s,%s" % (
-                        cell.rh_verdict.value,
-                        _csv_bool(cell.sylvester_pd),
-                        _csv_bool(cell.cond4_as_written),
-                        _csv_bool(cell.cond4_corrected),
-                    )
-                else:
-                    tail = ",,,"
-                stream.write("%s,%s,%s,%s\n" % (alpha_text, k_text, _csv_bool(cell.inner_exists), tail))
+                text = texts.get(id(cell))
+                if text is None:
+                    text = texts[id(cell)] = _cell_text(cell)
+                lines.append(alpha_text + k_text + text)
         if self.alpha0 is not None and self.k0 is not None:
-            stream.write("# alpha0=%.17g,k0=%.17g\n" % (self.alpha0, self.k0))
+            lines.append("# alpha0=%.17g,k0=%.17g\n" % (self.alpha0, self.k0))
+        stream.write("".join(lines))
+
+
+def _cell_text(cell: SweepCell) -> str:
+    """A cell's CSV fields after (alpha, k), with the line's end."""
+    if not cell.inner_exists:
+        return "false,,,,\n"
+    return "true,%s,%s,%s,%s\n" % (
+        cell.rh_verdict.value,
+        _csv_bool(cell.sylvester_pd),
+        _csv_bool(cell.cond4_as_written),
+        _csv_bool(cell.cond4_corrected),
+    )
 
 
 def _csv_bool(flag: bool) -> str:
@@ -142,7 +152,7 @@ def evaluate_cell(base: ModelParams, alpha: float, k: float) -> SweepCell:
     if pt is None:
         return _ABSENT
     verdict = _equilibrium_verdict(base, alpha, k, *pt)
-    definite = verdict is not Verdict.UNSTABLE and _grid_has_definite(base, alpha, k, pt)
+    definite = verdict is not _UNSTABLE and _grid_has_definite(base, alpha, k, pt)
     lhs, rhs_as_written, rhs_corrected = _condition4_sides(base, alpha, *pt)
     return _INNER[verdict, definite, lhs > rhs_as_written, lhs > rhs_corrected]
 
@@ -183,7 +193,7 @@ def stability_map(grid: SweepGrid, max_workers: Optional[int] = None) -> SweepRe
     alphas, ks = grid.alpha_values, grid.k_values
     cells = [[evaluate_cell(grid.base, alpha, k) for k in ks] for alpha in alphas]
 
-    corner = _anchored_rectangle([[c.rh_verdict is Verdict.STABLE for c in row] for row in cells])
+    corner = _anchored_rectangle([[c.rh_verdict is _STABLE for c in row] for row in cells])
     if corner is None:
         alpha0 = k0 = None
     else:
@@ -206,7 +216,7 @@ def find_alpha_margin(base: ModelParams, k_fixed: float, alpha_hi: float) -> Opt
 
     def stable_at(alpha: float) -> bool:
         pt = _inner_point(base, alpha, k_fixed)
-        return pt is not None and _equilibrium_verdict(base, alpha, k_fixed, *pt) is Verdict.STABLE
+        return pt is not None and _equilibrium_verdict(base, alpha, k_fixed, *pt) is _STABLE
 
     if not stable_at(ALPHA_BISECT_LO):
         return None

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ from retrodyn import (
     Condition4Variant,
     DomainError,
     LyapunovCoeffs,
+    ModelParams,
     OmegaForm,
     ParameterError,
     State,
@@ -402,28 +404,35 @@ def test_positive_run_hand_cases():
     assert _positive_run(1.0, 1.0, -1.0) == range(41)  # convex: every point
 
 
-def test_grid_has_definite_matches_search(p1, p2, p_unstable):
-    # the algebraic decision against the grid search it replaces in the sweep
+def test_grid_has_definite_matches_search(p1, p2, p_unstable, monkeypatch):
+    # the algebraic decision against the grid search it replaces in the
+    # sweep, on draws that take each branch: Korobeinikov's point is
+    # definite (one evaluation of Omega), the enumeration finds another
+    # point, or there is none
     cases = [p1, p2, p_unstable] + [_rates_times(p2, s) for s in (1e-5, 1e50, 1e101, 1e103)]
     rng = np.random.default_rng(71)
     for sampler in (sample_params, sample_params_mild):
         cases += [sampler(rng) for _ in range(2000)]
+    evaluated = counting(monkeypatch, retrodyn.lyapunov, "_omega_entries")
     outcomes = []
     for p in cases:
         eq = inner_equilibrium(p)
         if eq is None:
             continue
         want = search_coeffs(p, eq) is not None
+        del evaluated[:]
         assert _grid_has_definite(p, p.alpha, p.k, eq_point(eq)) is want, p
-        outcomes.append(want)
-    assert len(outcomes) > 2500 and 0 < sum(outcomes) < len(outcomes)
+        outcomes.append((want, len(evaluated) == 1))
+    assert len(outcomes) > 2500
+    assert set(outcomes) == {(True, True), (True, False), (False, False)}
 
 
 def test_grid_has_definite_skips_the_grid_search(p1, p2, p_unstable, monkeypatch):
-    # In range the closed forms leave a few grid points to evaluate; out
-    # of it every point is, up to the first definite one.  Neither path
-    # builds a parameter set, an equilibrium, a state, weights or a form,
-    # and both give the answer of search_coeffs.
+    # Korobeinikov's point is evaluated first; where it is not definite,
+    # in range the closed forms leave a few grid points to evaluate, and
+    # out of it every point is, up to the first definite one.  Neither
+    # path builds a parameter set, an equilibrium, a state, weights or a
+    # form, and both give the answer of search_coeffs.
     far = [_rates_times(p2, 1e101), _rates_times(p2, 1e103), _rates_times(p_unstable, 1e103)]
     cases = [p1, p2, p_unstable, _rates_times(p2, 1e-5), _rates_times(p2, 1e20)] + far
     cases = [(p, inner_equilibrium(p)) for p in cases]
@@ -438,9 +447,60 @@ def test_grid_has_definite_skips_the_grid_search(p1, p2, p_unstable, monkeypatch
     assert got == want
     assert all(type(g) is bool for g in got)
     assert want[-3:] == [True, True, False]
-    assert all(n <= 2 for n in counts[:-3])
-    assert all(len(_WEIGHTS) < n < len(_WEIGHTS) ** 2 for n in counts[-3:-1])
-    assert counts[-1] == len(_WEIGHTS) ** 2
+    # in range: the guess alone, or the guess and an empty enumeration
+    assert counts[:-3] == [1] * 5
+    # x 1e101: the guess is definite; x 1e103: its delta3 overflows to
+    # NaN, and the enumeration runs to the first definite point
+    assert counts[-3] == 1
+    assert len(_WEIGHTS) < counts[-2] < len(_WEIGHTS) ** 2
+    # indefinite out of range: the guess, then the whole grid
+    assert counts[-1] == len(_WEIGHTS) ** 2 + 1
+
+
+# A Stable cell of the benchmark's seed-0 maps (first map, smallest
+# alpha) where Korobeinikov's grid point is not definite but another
+# grid point is.
+_GUESS_MISSES = dict(a=0.7776291211519247, a_I=0.7545144296910659, b11=0.3187974660227875,
+                     b12=0.040410237105039104, b21=0.03969456306645996, b22=0.27041172236761163,
+                     alpha=0.0020000000000000005, m=0.795332519031742, k=15.699148084114281,
+                     sigma=0.464379596051594)
+
+
+def _korobeinikov_weights(p, pt):
+    # (A, B) of (C^, I^, V^/k) scaled to D = 1, each rounded up onto the grid
+    C, I, V = pt
+    return tuple(_WEIGHTS[min(bisect_left(_WEIGHTS, x * p.k / V), len(_WEIGHTS) - 1)] for x in (C, I))
+
+
+def _korobeinikov_minors(p, pt):
+    A, B = _korobeinikov_weights(p, pt)
+    return _minors(*_omega_entries(p, p.alpha, p.k, A, B, 1.0, pt, pt))
+
+
+def test_grid_has_definite_stops_at_a_definite_guess(p2, monkeypatch):
+    # At P2 Korobeinikov's point is definite: Omega is evaluated once,
+    # where exhausting the enumeration up to its first definite point
+    # takes three evaluations (two for the weights' parts, one point).
+    eq = inner_equilibrium(p2)
+    assert all(d > 0.0 for d in _korobeinikov_minors(p2, eq_point(eq)))
+    evaluated = counting(monkeypatch, retrodyn.lyapunov, "_omega_entries")
+    assert _grid_has_definite(p2, p2.alpha, p2.k, eq_point(eq)) is True
+    assert len(evaluated) == 1
+    del evaluated[:]
+    next(_definite_points(p2, p2.alpha, p2.k, eq_point(eq)))
+    assert len(evaluated) == 3
+
+
+def test_grid_has_definite_falls_back_to_the_enumeration(monkeypatch):
+    p = ModelParams(**_GUESS_MISSES)
+    eq = inner_equilibrium(p)
+    assert classify_equilibrium(p, eq).verdict is Verdict.STABLE
+    assert not all(d > 0.0 for d in _korobeinikov_minors(p, eq_point(eq)))
+    assert search_coeffs(p, eq) is not None
+    evaluated = counting(monkeypatch, retrodyn.lyapunov, "_omega_entries")
+    assert _grid_has_definite(p, p.alpha, p.k, eq_point(eq)) is True
+    # the guess, the weights' two parts and at least one grid point
+    assert len(evaluated) >= 4
 
 
 def _numpy_search(p, eq):
@@ -561,13 +621,14 @@ def _exact_failures(p, A, B, form):
 
 def test_grid_weights_pass_the_exact_oracles():
     # The checks that are to replace the grid's pinned answers (ROADMAP
-    # item 4), held against the grid: the weights search_coeffs returns
-    # and the first definite point, where the sweep stops, make Omega
-    # exactly definite, are positive definite by eigvalsh, and sit at an
-    # exactly Hurwitz equilibrium.  Every second draw is in a time unit
-    # 2**e away.
+    # item 4), held against the grid: the weights search_coeffs returns,
+    # the first definite point of the enumeration and Korobeinikov's
+    # point where it is definite (the points where the sweep stops) make
+    # Omega exactly definite, are positive definite by eigvalsh, and sit
+    # at an exactly Hurwitz equilibrium.  Every second draw is in a time
+    # unit 2**e away.
     rng = np.random.default_rng(24)
-    checked = 0
+    checked = guessed = 0
     for index in range(600):
         p = sample_params(rng)
         if index % 2:
@@ -582,8 +643,13 @@ def test_grid_weights_pass_the_exact_oracles():
         assert _exact_failures(p, coeffs.A, coeffs.B, form) == [], p
         first = OmegaForm(*entries, evaluated_at=eq.point)
         assert _exact_failures(p, _WEIGHTS[i], _WEIGHTS[j], first) == [], p
+        A, B = _korobeinikov_weights(p, eq_point(eq))
+        guess = omega_at(p, LyapunovCoeffs(A, B, 1.0), eq, eq.point)
+        if guess.positive_definite:
+            assert _exact_failures(p, A, B, guess) == [], p
+            guessed += 1
         checked += 1
-    assert checked > 400
+    assert checked > 400 and guessed > 300
 
 
 def test_inner_equilibrium_required(p1):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -33,6 +35,18 @@ def test_rh_examples():
     assert routh_hurwitz_cubic(CubicCoeffs(3.0, 3.0, 1.0)).verdict is Verdict.STABLE
     assert routh_hurwitz_cubic(CubicCoeffs(1.0, 1.0, 1.0)).verdict is Verdict.MARGINAL
     assert routh_hurwitz_cubic(CubicCoeffs(-1.0, 1.0, 1.0)).verdict is Verdict.UNSTABLE
+
+
+def test_verdict_copies_are_the_member():
+    # Verdict hashes by identity, so every way of obtaining a member must
+    # return that member: lookup by value, copies and a pickle round trip.
+    names = {verdict: verdict.name for verdict in Verdict}
+    for verdict in Verdict:
+        for got in (Verdict(verdict.value), copy.copy(verdict), copy.deepcopy(verdict),
+                    pickle.loads(pickle.dumps(verdict))):
+            assert got is verdict
+            assert names[got] == verdict.name
+    assert [v.value for v in Verdict] == ["Stable", "Unstable", "Marginal"]
 
 
 def test_rh_nan_margin_is_not_stable(p2):

@@ -14,6 +14,7 @@ from retrodyn import (
     State,
     SweepCell,
     SweepGrid,
+    SweepResult,
     Verdict,
     classify_equilibrium,
     condition4,
@@ -226,8 +227,14 @@ def _assert_map_matches_cells(grid):
         for j, k in enumerate(grid.k_values):
             cell = evaluate_cell(grid.base, alpha, k)
             assert res.cells[i][j] == cell == cells[i][j], (grid.base, alpha, k)
+            assert cells[i][j] is not cell
     buf = io.StringIO()
     res.write_csv(buf)
+    assert buf.getvalue() == csv
+    # write_csv keeps each cell's text by the cell's identity: cells built
+    # one by one, equal to the shared ones, write the same bytes
+    buf = io.StringIO()
+    SweepResult(grid, cells, res.alpha0, res.k0).write_csv(buf)
     assert buf.getvalue() == csv
 
 

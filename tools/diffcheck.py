@@ -18,12 +18,18 @@ the two packages never share an interpreter.  Both workers run:
   ``find_alpha_margin`` on 2,000 seeded parameter draws, every second one
   rescaled to a time unit and a population unit 2**e away (|e| <= 40).
   Results are compared with every float by ``float.hex``, which writes
-  any NaN as ``nan``, so two NaNs count as equal.
+  any NaN as ``nan``, so two NaNs count as equal;
+- ``stability_map(...).write_csv`` on 100 seeded 24x24 maps shaped like
+  the benchmark's ``maps`` family: log axes alpha 0.002-10 and k
+  0.02-100 built with ``math`` (so their bits do not depend on numpy's
+  SIMD dispatch), the benchmark's base jittered by +-0.3 in log, and
+  every second map in a time unit and a population unit 2**e away
+  (|e| <= 40).  The CSV bytes are compared (by sha256).
 
 The last line printed is the summary: mismatches per command (out of
-the configs) and per function (out of the draws).  Each mismatch is
-also named on stderr.  The exit code is 0 when nothing differs and 1
-otherwise.  ``--src`` takes the ``src`` directory of another tree in
+the configs), per function (out of the draws) and in the maps (out of
+the maps).  Each mismatch is also named on stderr.  The exit code is 0
+when nothing differs and 1 otherwise.  ``--src`` takes the ``src`` directory of another tree in
 place of this checkout's working tree.
 """
 
@@ -57,6 +63,9 @@ RATES = ("a", "a_I", "m", "sigma", "alpha")
 PER_POPULATION = ("b11", "b12", "b21", "b22", "alpha")
 RATE_SCALES = (1e-5, 1e20, 1e50, 1e101, 1e103)
 DRAWS = 2000
+MAPS = 100
+# bench/workloads.py's maps base; alpha and k are replaced in every cell.
+MAP_BASE = {"a": 1.0, "a_I": 0.8, "b11": 0.3, "b12": 0.05, "b21": 0.05, "b22": 0.3, "m": 1.0, "sigma": 0.5}
 P1 = {"a": 1, "a_I": 2, "b11": 1, "b12": 0, "b21": 0, "b22": 1, "alpha": 0, "m": 1, "k": 1, "sigma": 2}
 PU = {"a": 1, "a_I": 0.5, "b11": 0.1, "b12": 0.01, "b21": 0.01, "b22": 0.1,
       "alpha": 2, "m": 2, "k": 30, "sigma": 0.2}
@@ -163,6 +172,36 @@ def _function_outputs(retrodyn) -> dict:
     return out
 
 
+def _log_axis(lo: float, hi: float, n: int) -> list:
+    step = (math.log(hi) - math.log(lo)) / (n - 1)
+    return [math.exp(math.log(lo) + i * step) for i in range(n)]
+
+
+def _maps():
+    """(params, alpha_values, k_values) per map, as the module docstring says."""
+    rng = random.Random(1)
+    alphas, ks = _log_axis(0.002, 10.0, 24), _log_axis(0.02, 100.0, 24)
+    for index in range(MAPS):
+        p = {name: value * math.exp(rng.uniform(-0.3, 0.3)) for name, value in MAP_BASE.items()}
+        p.update(alpha=1.0, k=1.0)
+        map_alphas = alphas
+        if index % 2:
+            for names in (RATES, PER_POPULATION):
+                e = rng.randint(-40, 40)
+                p.update({name: math.ldexp(p[name], e) for name in names})
+                map_alphas = [math.ldexp(alpha, e) for alpha in map_alphas]
+        yield p, map_alphas, ks
+
+
+def _map_outputs(retrodyn) -> dict:
+    out = []
+    for fields, alphas, ks in _maps():
+        buf = io.StringIO()
+        retrodyn.stability_map(retrodyn.SweepGrid(retrodyn.ModelParams(**fields), alphas, ks)).write_csv(buf)
+        out.append(hashlib.sha256(buf.getvalue().encode()).hexdigest())
+    return {"stability_map": out}
+
+
 def worker(src: str, paths: list) -> None:
     """Print the outputs of the package in ``src`` as one JSON object."""
     sys.path.insert(0, src)
@@ -173,7 +212,8 @@ def worker(src: str, paths: list) -> None:
     if Path(src).resolve() not in Path(retrodyn.__file__).resolve().parents:
         sys.exit(f"imported retrodyn from {retrodyn.__file__}, not from {src}")
     commands = {command: [_run_command(retrodyn.cli.main, path, command) for path in paths] for command in COMMANDS}
-    json.dump({"commands": commands, "functions": _function_outputs(retrodyn)}, sys.stdout)
+    json.dump({"commands": commands, "functions": _function_outputs(retrodyn), "maps": _map_outputs(retrodyn)},
+              sys.stdout)
 
 
 def extract(rev: str, dest: Path) -> Path:
@@ -213,10 +253,10 @@ def main(argv=None) -> int:
             results.append(json.loads(stdout))
     old, new = results
 
-    labels = {"commands": list(cases), "functions": range(DRAWS)}
+    labels = {"commands": list(cases), "functions": range(DRAWS), "maps": range(MAPS)}
     parts = []
     total = 0
-    for section, names in (("commands", COMMANDS), ("functions", FUNCTIONS)):
+    for section, names in (("commands", COMMANDS), ("functions", FUNCTIONS), ("maps", ("stability_map",))):
         counts = []
         for name in names:
             pairs = list(zip(labels[section], old[section][name], new[section][name]))
