@@ -49,8 +49,8 @@ def residual(params: ModelParams, point: State) -> float:
 
 def _over_product(x, u, v, w=1):
     """x / (u*v*w) for positive scalars u, v and w, divided one factor
-    at a time when the product underflows to 0.  x may be an array.
-    The default w = 1 changes no bit of x / (u*v)."""
+    at a time when the product underflows to 0.  The default w = 1
+    changes no bit of x / (u*v)."""
     uvw = u * v * w
     return x / uvw if uvw != 0 else x / u / v / w
 

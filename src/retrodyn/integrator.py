@@ -13,11 +13,13 @@ rule:
 
 A step is retried at half length when a population would fall below
 -abs_tol or a value is non-finite, and (adaptive only) at the controller
-factor, then in [0.2, 0.9), when err > tol.  Fixed mode resumes dt after
-a shortened step.  A non-finite value is not fatal: IntegrationError is
-raised only when the step drops below 1e-12 * t_end (below the smallest
-subnormal, 5e-324, when that product underflows to 0) or the step budget
-is exhausted.
+factor, then in [0.2, 0.9), when err > tol.  Fixed mode starts its next
+step from the one a retry shortened, and doubles the step back toward dt
+after each step accepted at its first attempt, never above dt; the last
+step's clamp to t_end is not a shortening.  A non-finite value is not
+fatal: IntegrationError is raised only when the step drops below
+1e-12 * t_end (below the smallest subnormal, 5e-324, when that product
+underflows to 0) or the step budget is exhausted.
 
 Bound: the exact solution from nonnegative initial data stays in a
 box set by the parameters and the start.  With N = C + I,
@@ -163,7 +165,7 @@ def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Traje
     s0 = _check_initial(s0)
     t_end = opts.t_end
     dt_min = 1e-12 * t_end or math.ulp(0.0)
-    dt = opts.dt if opts.dt is not None else t_end / 100.0
+    dt = nominal = opts.dt if opts.dt is not None else t_end / 100.0
     adaptive = opts.mode is IntegrationMode.ADAPTIVE_RK4
     neg_floor = -opts.abs_tol
 
@@ -211,6 +213,8 @@ def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Traje
             raise IntegrationError(f"step budget max_steps={opts.max_steps} exhausted at t={t!r}")
         if adaptive:
             dt = dt_try * factor
+        elif dt_try != nominal:  # fixed mode: keep a retry's step, else double it back
+            dt = dt_try if dt_try < dt else min(2.0 * dt, nominal)
 
     return Trajectory(times=np.array(times), states=np.array(flat).reshape(-1, 3))
 

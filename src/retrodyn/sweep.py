@@ -28,6 +28,7 @@ so the answer is ``search_coeffs(...) is not None``, on Python floats.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence, Tuple
 
@@ -36,8 +37,6 @@ from .errors import ParameterError, _checked_float
 from .lyapunov import _condition4_sides, _grid_has_definite
 from .model import _BOUND, ModelParams
 from .stability import _STABLE, _UNSTABLE, Verdict, _equilibrium_verdict
-
-ALPHA_BISECT_LO = 1e-6
 
 
 def _check_base(base) -> None:
@@ -204,26 +203,29 @@ def stability_map(grid: SweepGrid, max_workers: Optional[int] = None) -> SweepRe
 def find_alpha_margin(base: ModelParams, k_fixed: float, alpha_hi: float) -> Optional[float]:
     """Largest infection rate (up to ``alpha_hi``) keeping coexistence stable.
 
-    Scans by bisection on [1e-6, alpha_hi]; returns alpha_hi itself when
-    it is stable and None when even alpha = 1e-6 is not.  Bisection
-    assumes the stable alphas along the line form one interval; where
-    they form several, the edge returned can depend on ``alpha_hi``.
-    A bad base fails as in ``SweepGrid``.
+    Scans by bisection on [1e-7 * alpha_hi, alpha_hi] down to a bracket
+    of 1e-6 * alpha_hi (of the smallest subnormal, 5e-324, when that
+    product underflows to 0), so the search is in the caller's units;
+    returns alpha_hi itself when it is stable and None when even the
+    lower end is not.  Bisection assumes the stable alphas along the
+    line form one interval; where they form several, the edge returned
+    can depend on ``alpha_hi``.  A bad base fails as in ``SweepGrid``.
     """
     _check_base(base)
     k_fixed = _checked_float("k_fixed", k_fixed, ">")
-    alpha_hi = _checked_float("alpha_hi", alpha_hi, ">", ALPHA_BISECT_LO)
+    alpha_hi = _checked_float("alpha_hi", alpha_hi, ">")
 
     def stable_at(alpha: float) -> bool:
         pt = _inner_point(base, alpha, k_fixed)
         return pt is not None and _equilibrium_verdict(base, alpha, k_fixed, *pt) is _STABLE
 
-    if not stable_at(ALPHA_BISECT_LO):
+    lo = 1e-7 * alpha_hi
+    if not stable_at(lo):
         return None
     if stable_at(alpha_hi):
         return alpha_hi
-    lo, hi = ALPHA_BISECT_LO, alpha_hi
-    while hi - lo > 1e-6 * alpha_hi:
+    hi, tol = alpha_hi, 1e-6 * alpha_hi or math.ulp(0.0)
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if stable_at(mid):
             lo = mid

@@ -1,4 +1,5 @@
 import io
+import math
 import threading
 
 import numpy as np
@@ -33,9 +34,10 @@ from retrodyn.sweep import _ABSENT, _INNER, _anchored_rectangle
 from conftest import _log_uniform, _scaled, counting, eq_point, refuse_objects, sample_params
 from test_acceptance import _family_maps
 
-# Frozen: bisection endpoint for the P2 base at k = 1 (the analytic
-# loss-of-stability point is 37/15, resolved here to the 5e-6 stop).
-P2_ALPHA_MARGIN_AT_K1 = 2.466664820937156
+# Frozen: bisection endpoint for the P2 base at k = 1 and alpha_hi = 5
+# (the analytic loss-of-stability point is 37/15, resolved here to the
+# 5e-6 stop from the lower end 5e-7).
+P2_ALPHA_MARGIN_AT_K1 = 2.466664567603588
 
 
 def log_axis(lo, hi, n):
@@ -455,8 +457,8 @@ def test_alpha_margin_brackets_transition(p2):
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 12: the bisection assumes the stable alphas form one interval")
 def test_alpha_margin_does_not_depend_on_alpha_hi():
-    # alpha and k are placeholders; the stable alphas at k_fixed are
-    # [1e-6, 1.8793) and [2.6473, 3.6745), so the margin is 3.6745 for
+    # alpha and k are placeholders; the stable alphas at k_fixed run up
+    # to 1.8793 and over [2.6473, 3.6745), so the margin is 3.6745 for
     # either alpha_hi, but bisection from 10 ends at 1.87804.
     base = ModelParams(a=1.3786393907248482, a_I=0.271137052179412, b11=4.544161517175562,
                        b12=1.0397318121654304, b21=0.1429919060539375, b22=3.4923681907245343,
@@ -472,11 +474,11 @@ def _margin_by_components(base, k_fixed, alpha_hi):
         eq = inner_equilibrium(p)
         return eq is not None and classify_equilibrium(p, eq).verdict is Verdict.STABLE
 
-    if not stable_at(1e-6):
+    if not stable_at(1e-7 * alpha_hi):
         return None
     if stable_at(alpha_hi):
         return alpha_hi
-    lo, hi = 1e-6, alpha_hi
+    lo, hi = 1e-7 * alpha_hi, alpha_hi
     while hi - lo > 1e-6 * alpha_hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if stable_at(mid) else (lo, mid)
@@ -504,11 +506,37 @@ def test_alpha_margin_none_when_unstable_at_floor(p_unstable):
     assert find_alpha_margin(p_unstable, 30.0, 5.0) is None
 
 
+def test_alpha_margin_in_the_callers_units(p2):
+    # P2 is stable along k = 1 up to 37/15, so a range far below the old
+    # absolute lower end 1e-6 is stable throughout.
+    alpha_hi = 10.0 * 2.0**-30
+    assert find_alpha_margin(p2, 1.0, alpha_hi) == alpha_hi
+
+
+def test_alpha_margin_ends_among_subnormals(monkeypatch):
+    # Below alpha_hi ~ 2.5e-318 the stop 1e-6 * alpha_hi underflows to 0.
+    # On this line alpha = 0 is stable and alpha_hi = 2e-318 is not, so
+    # the bracket closes to adjacent floats, where the search must end.
+    base = ModelParams(a=1e-13, a_I=2e3, b11=1.0, b12=0.0, b21=0.0, b22=1e-10,
+                       alpha=0.0, m=1e3, k=1.0, sigma=1e3)
+    inner_point = retrodyn.sweep._inner_point
+
+    def probe(*args):
+        probes.append(args)
+        assert len(probes) < 100, "the bisection does not end"
+        return inner_point(*args)
+
+    probes = []
+    monkeypatch.setattr(retrodyn.sweep, "_inner_point", probe)
+    assert 0.0 < find_alpha_margin(base, 1e295, 2e-318) < 2e-318
+
+
 def test_alpha_margin_validation(p2):
     with pytest.raises(ParameterError):
         find_alpha_margin(p2, 0.0, 1.0)
-    with pytest.raises(ParameterError):
-        find_alpha_margin(p2, 1.0, 1e-7)
+    for alpha_hi in (0.0, -0.0, -1.0, -math.inf):
+        with pytest.raises(ParameterError, match="alpha_hi"):
+            find_alpha_margin(p2, 1.0, alpha_hi)
     with pytest.raises(ParameterError, match="alpha_hi"):
         find_alpha_margin(p2, 1.0, True)
     with pytest.raises(ParameterError, match="k_fixed"):

@@ -33,7 +33,7 @@ from retrodyn.equilibria import _inner_point
 from retrodyn.lyapunov import _WEIGHTS, _grid_has_definite, _minors, _omega_entries
 from retrodyn.model import _cubic_coeffs, _jacobian_entries
 from retrodyn.stability import _equilibrium_verdict, _hurwitz
-from retrodyn.sweep import evaluate_cell
+from retrodyn.sweep import evaluate_cell, find_alpha_margin
 
 from conftest import sample_params, sample_params_mild, state_near
 
@@ -142,6 +142,20 @@ def test_adaptive_integrate_with_a_virus_unit():
     for p, q, units, rng in _draws(83, 20, sample_params_mild):
         got, want = _trajectory_bits(p, q, units, IntegrationMode.ADAPTIVE_RK4, rng)
         assert got == want, units
+
+
+def test_alpha_margin_scales_with_the_time_unit():
+    # A time unit alone (P = Q = 1) divides every rate by T, and the
+    # search, run in the caller's units, divides its answer by T.  With
+    # |e| <= 4 no probe's verdict falls in MARGINAL_TOL's absolute band.
+    rng = np.random.default_rng(89)
+    for _ in range(300):
+        p = sample_params(rng)
+        T = 2.0 ** int(rng.integers(-4, 5))
+        q = _rescaled(p, T, 1.0, 1.0)
+        want = find_alpha_margin(p, p.k, 10.0)
+        got = find_alpha_margin(q, q.k, 10.0 / T)
+        assert (got if got is None else got * T) == want, T
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -1,10 +1,12 @@
-"""Compare this checkout's retrodyn with a git revision's, output by output.
+"""Compare this checkout's retrodyn with another tree's, output by output.
 
-    python tools/diffcheck.py --against <rev> [--src DIR]
+    python tools/diffcheck.py --against <rev or DIR> [--src DIR]
 
-``<rev>``'s ``src`` is extracted with ``git archive`` into a temporary
-directory, and each tree then runs in a worker process of its own, so
-the two packages never share an interpreter.  Both workers run:
+``--against`` takes a directory as the ``src`` directory of the other
+tree; anything else is a git revision, whose ``src`` is extracted with
+``git archive`` into a temporary directory.  Each tree then runs in a
+worker process of its own, so the two packages never share an
+interpreter.  Both workers run:
 
 - the five CLI commands on one config set: the README config; P2 (the
   README's parameters) and PU (an unstable exemplar) in a time unit
@@ -29,8 +31,8 @@ the two packages never share an interpreter.  Both workers run:
 The last line printed is the summary: mismatches per command (out of
 the configs), per function (out of the draws) and in the maps (out of
 the maps).  Each mismatch is also named on stderr.  The exit code is 0
-when nothing differs and 1 otherwise.  ``--src`` takes the ``src`` directory of another tree in
-place of this checkout's working tree.
+when nothing differs and 1 otherwise.  ``--src`` takes the ``src``
+directory of another tree in place of this checkout's working tree.
 """
 
 from __future__ import annotations
@@ -228,7 +230,7 @@ def extract(rev: str, dest: Path) -> Path:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", required=True, help="git revision to compare with")
+    parser.add_argument("--against", required=True, help="git revision, or src directory, to compare with")
     parser.add_argument("--src", default=str(ROOT / "src"), help="src directory of the changed tree")
     args = parser.parse_args(argv)
 
@@ -239,7 +241,10 @@ def main(argv=None) -> int:
             path = Path(tmp, f"{label}.json")
             path.write_text(json.dumps(config))
             paths.append(str(path))
-        srcs = (str(extract(args.against, Path(tmp, "against"))), args.src)
+        # the workers run in tmp, so a directory given relative to here is resolved
+        against = Path(args.against)
+        against = against.resolve() if against.is_dir() else extract(args.against, Path(tmp, "against"))
+        srcs = (str(against), str(Path(args.src).resolve()))
         runs = [
             subprocess.Popen([sys.executable, __file__, "--worker", src, *paths],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=tmp)
