@@ -21,13 +21,6 @@ from typing import Optional
 from .errors import ParameterError
 from .model import ModelParams, State, _rhs
 
-# C or I this close to (or past) 0 means no inner point, as their Cramer
-# numerators can cancel; V = k*m*I/sigma cannot, so it needs only V > 0.
-POSITIVITY_FLOOR = 1e-12
-
-# Relative singularity threshold for the reduced 2x2 system.
-SINGULAR_RTOL = 1e-14
-
 
 class EquilibriumKind(enum.Enum):
     INNER = "inner"
@@ -55,24 +48,28 @@ def _over_product(x, u, v, w=1):
     return x / uvw if uvw != 0 else x / u / v / w
 
 
-def _inner_point(p: ModelParams, alpha: float, k: float) -> Optional[tuple]:
-    # inner_equilibrium's point (C, I, V), or None, at (alpha, k) in
-    # place of p.alpha and p.k; the sweep calls it once per cell.  The
-    # reduced 2x2 system, its right-hand side (1, r2), then Cramer's rule.
+def _reduced_system(p: ModelParams, alpha, k) -> tuple:
+    # (a11, a12, a21, a22, det) of the reduced 2x2 system at (alpha, k)
+    # in place of p.alpha and p.k; its right-hand side is (1, a_I - m).
     akm = alpha * k * p.m
     a11 = p.b11
     a12 = p.b12 + _over_product(akm, p.a, p.sigma)
     a21 = p.a_I * p.b21 - akm / p.sigma
     a22 = p.a_I * p.b22
-    det = a11 * a22 - a12 * a21
-    scale = abs(a11 * a22) + abs(a12 * a21)
-    if scale == 0 or abs(det) < SINGULAR_RTOL * scale:
+    return a11, a12, a21, a22, a11 * a22 - a12 * a21
+
+
+def _inner_point(p: ModelParams, alpha: float, k: float) -> Optional[tuple]:
+    # inner_equilibrium's point (C, I, V), or None, at (alpha, k) in
+    # place of p.alpha and p.k; the sweep calls it once per cell.
+    a11, a12, a21, a22, det = _reduced_system(p, alpha, k)
+    if det == 0:
         return None
     r2 = p.a_I - p.m
     C = (a22 - a12 * r2) / det
     I = (a11 * r2 - a21) / det
     V = k * p.m * I / p.sigma
-    if C > POSITIVITY_FLOOR and I > POSITIVITY_FLOOR and V > 0:
+    if C > 0 and I > 0 and V > 0:
         return C, I, V
     return None
 
@@ -81,9 +78,9 @@ def inner_equilibrium(params: ModelParams) -> Optional[Equilibrium]:
     """Coexistence equilibrium with all three coordinates positive.
 
     Solves the reduced 2x2 system by Cramer's rule and recovers
-    V = k*m*I/sigma.  Returns None when the system is singular
-    (relative determinant below ``SINGULAR_RTOL``), when C or I is not
-    above ``POSITIVITY_FLOOR`` or when V is not > 0 (NaN included).
+    V = k*m*I/sigma.  Returns None when the determinant is 0 or when C,
+    I or V is not > 0 (NaN included): float signs, with no tolerance
+    and so no dependence on the units.
     """
     point = _inner_point(params, params.alpha, params.k)
     if point is None:

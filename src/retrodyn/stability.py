@@ -5,13 +5,15 @@ the open left half-plane iff
 
     p > 0,   r > 0,   p*q - r > 0.
 
-The three left-hand sides are reported as margins; a margin inside the
-band [-MARGINAL_TOL, MARGINAL_TOL] makes the verdict Marginal rather
-than committing to either side, and so does a NaN margin when no other
-margin is clearly negative.
-
-Every verdict on an equilibrium, from ``classify_equilibrium`` or a
-sweep cell, takes its cubic from the float kernels ``_jacobian_entries``
+The three left-hand sides are reported as margins.  For a caller's
+cubic and at a boundary equilibrium a margin inside [-MARGINAL_TOL,
+MARGINAL_TOL] makes the verdict Marginal, and so does a NaN margin when
+no other margin is clearly negative.  At the inner equilibrium the
+Jacobian with the equilibrium relations substituted in has p > 0 and
+r = a*sigma*C^*I^*det, det the reduced system's: det < 0 is a saddle,
+and otherwise the sign of the Hopf margin h = p*q - r decides (Marginal
+only when h is 0 or NaN).  These are float signs, with no band.  Every
+cubic and margin reported comes from the kernels ``_jacobian_entries``
 and ``_cubic_coeffs``: the bits of ``char_cubic(jacobian(...))``.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .equilibria import Equilibrium
+from .equilibria import Equilibrium, EquilibriumKind, _reduced_system
 from .model import CubicCoeffs, ModelParams, _cubic_coeffs, _jacobian_entries
 
 MARGINAL_TOL = 1e-12
@@ -49,11 +51,11 @@ class StabilityReport:
     margins: tuple  # (p, r, p*q - r), each positive when stable
 
 
-def _hurwitz(p, q, r) -> tuple:
-    """Hurwitz margins and the verdict they give.  A NaN margin fails
-    both comparisons, so it leaves the verdict Marginal unless another
-    margin is below -MARGINAL_TOL."""
-    margins = (p, r, p * q - r)
+def routh_hurwitz_cubic(cubic: CubicCoeffs) -> StabilityReport:
+    """Classify a monic cubic by the sign pattern of its Hurwitz margins.
+    A NaN margin fails both comparisons, so it leaves the verdict
+    Marginal unless another margin is below -MARGINAL_TOL."""
+    margins = (cubic.p, cubic.r, cubic.p * cubic.q - cubic.r)
     m0, m1, m2 = margins
     if m0 < -MARGINAL_TOL or m1 < -MARGINAL_TOL or m2 < -MARGINAL_TOL:
         verdict = _UNSTABLE
@@ -61,24 +63,44 @@ def _hurwitz(p, q, r) -> tuple:
         verdict = _STABLE
     else:
         verdict = _MARGINAL
-    return margins, verdict
-
-
-def routh_hurwitz_cubic(cubic: CubicCoeffs) -> StabilityReport:
-    """Classify a monic cubic by the sign pattern of its Hurwitz margins."""
-    margins, verdict = _hurwitz(cubic.p, cubic.q, cubic.r)
     return StabilityReport(cubic=cubic, verdict=verdict, margins=margins)
 
 
 def classify_equilibrium(params: ModelParams, eq: Equilibrium) -> StabilityReport:
-    """Routh-Hurwitz verdict for the linearization at an equilibrium."""
+    """Routh-Hurwitz report for the linearization at an equilibrium.
+
+    An INNER ``eq`` must be the inner equilibrium of ``params``: its
+    verdict is the module docstring's two signs, so within rounding of
+    zero a printed margin can disagree with it.
+    """
     s = eq.point  # may hold numpy scalars (a trajectory's row); the report holds floats
-    entries = _jacobian_entries(params, params.alpha, params.k, float(s.C), float(s.I), float(s.V))
-    return routh_hurwitz_cubic(CubicCoeffs(*_cubic_coeffs(*entries)))
+    C, I, V = float(s.C), float(s.I), float(s.V)
+    entries = _jacobian_entries(params, params.alpha, params.k, C, I, V)
+    report = routh_hurwitz_cubic(CubicCoeffs(*_cubic_coeffs(*entries)))
+    if eq.kind is not EquilibriumKind.INNER:
+        return report
+    return StabilityReport(report.cubic, _equilibrium_verdict(params, params.alpha, params.k, C, I, V), report.margins)
+
+
+def _reduced_cubic(p: ModelParams, alpha, k, C, I, V, det) -> tuple:
+    # (p, q, r) at the inner equilibrium (C, I, V) of p, (alpha, k) in
+    # place of p.alpha and p.k, and det the reduced system's: on
+    # Fractions, exactly _cubic_coeffs of the Jacobian there.
+    x, y = p.a * p.b11 * C, p.a_I * p.b22 * I
+    return (
+        x + y + alpha * C * V / I + p.sigma,
+        C * I * p.a * p.a_I * (p.b11 * p.b22 - p.b12 * p.b21) + p.sigma * (x + y)
+        + alpha * k * p.m * C * (x + p.a * p.b12 * I) / p.sigma,
+        p.a * p.sigma * C * I * det,
+    )
 
 
 def _equilibrium_verdict(params: ModelParams, alpha, k, C, I, V) -> Verdict:
-    # classify_equilibrium's verdict at the equilibrium (C, I, V) of
-    # params with (alpha, k) in place of params.alpha and params.k,
-    # without the report the sweep discards.
-    return _hurwitz(*_cubic_coeffs(*_jacobian_entries(params, alpha, k, C, I, V)))[1]
+    # The verdict at the inner equilibrium (C, I, V) of params with
+    # (alpha, k) in place of params.alpha and params.k.
+    det = _reduced_system(params, alpha, k)[4]
+    if det < 0:
+        return _UNSTABLE
+    p, q, r = _reduced_cubic(params, alpha, k, C, I, V, det)
+    h = p * q - r
+    return _STABLE if h > 0 else _UNSTABLE if h < 0 else _MARGINAL

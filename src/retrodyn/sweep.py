@@ -16,13 +16,14 @@ Omega = -sym(P*J), with J the Jacobian in (V, I, C) order and
 P = diag(D/V^^2, B/I^^2, A/C^^2) positive, so a definite Omega makes J
 Hurwitz (Lyapunov's theorem): an Unstable cell's ``sylvester_pd`` is
 false without a look at the weights.  Stable and Marginal cells (a
-float Marginal can still be exactly Hurwitz) first try one grid point,
-Korobeinikov's weights (C^, I^, V^/k) rounded up onto the grid, which
-is definite at most definite cells.  Otherwise they stop at the first
-definite point of the enumeration ``search_coeffs`` maximizes over: the
-points of the 41x41 grid inside closed-form intervals (every point out
-of their range).  Each point is checked as ``search_coeffs`` checks it,
-so the answer is ``search_coeffs(...) is not None``, on Python floats.
+Hopf margin of 0 or NaN in floats can still be exactly positive)
+first try one grid point, Korobeinikov's weights (C^, I^, V^/k)
+rounded up onto the grid, which is definite at most definite cells.
+Otherwise they stop at the first definite point of the enumeration
+``search_coeffs`` maximizes over: the points of the 41x41 grid inside
+closed-form intervals (every point out of their range).  Each point is
+checked as ``search_coeffs`` checks it, so the answer is
+``search_coeffs(...) is not None``, on Python floats.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from retrodyn import Equilibrium, LyapunovCoeffs, ModelParams, OmegaForm, State, vector_field
+from retrodyn.model import PARAM_NAMES
 
 # One line per acceptance check, echoed after the test summary so the
 # verdicts land in the run log (stdout capture would swallow them).
@@ -83,6 +84,13 @@ def sample_params(rng):
         k=log_uniform(rng, 0.3, 3.0),
         sigma=log_uniform(rng, 0.3, 3.0),
     )
+
+
+def sample_params_broad(rng):
+    """Every parameter log-uniform over [1e-2, 1e2]; unlike
+    ``sample_params`` it gives saddles (det < 0) among its inner
+    equilibria."""
+    return ModelParams(**{name: log_uniform(rng, 1e-2, 1e2) for name in PARAM_NAMES})
 
 
 def sample_params_mild(rng):

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from retrodyn import (
     vector_field,
 )
 
-from conftest import sample_params
+from conftest import eq_point, sample_params
 
 # Frozen from the first run of the linear-solve oracle on P2
 # (C + 0.35 I = 1; -0.05 C + 2 I = 1.5, then V = k m I / sigma).
@@ -97,6 +100,30 @@ def test_singular_reduced_system_absent():
     # b11*b22 = b12*b21 with alpha = 0 collapses the 2x2 determinant
     p = ModelParams(a=1, a_I=1, b11=1, b12=1, b21=1, b22=1, alpha=0, m=0.5, k=1, sigma=1)
     assert inner_equilibrium(p) is None
+
+
+@pytest.mark.parametrize("fields", [
+    # C's Cramer numerator is 2**-43, so C = 2**-43/(4 - 2**-43)
+    dict(a=1, a_I=2, b11=1, b12=1 - 2 ** -43, b21=0, b22=1, alpha=1, m=1, k=1, sigma=1),
+    # I's Cramer numerator is 2**-43, so I is about 2**-44
+    dict(a=1, a_I=2, b11=1, b12=0, b21=0.5 + 2 ** -44, b22=1, alpha=2 ** -42, m=1, k=1, sigma=1),
+])
+def test_tiny_chronic_state_exists(fields):
+    # A coordinate near 1e-13 in natural units is still a chronic state:
+    # the exact Cramer solve of the cell equations with V = k*m*I/sigma.
+    p = ModelParams(**fields)
+    eq = inner_equilibrium(p)
+    assert eq is not None
+    x = SimpleNamespace(**{name: Fraction(value) for name, value in fields.items()})
+    # a*b11*C + (a*b12 + u)*I = a,  (a_I*b21 - u)*C + a_I*b22*I = a_I - m
+    u = x.alpha * x.k * x.m / x.sigma
+    r11, r12, r21, r22 = x.a * x.b11, x.a * x.b12 + u, x.a_I * x.b21 - u, x.a_I * x.b22
+    det = r11 * r22 - r12 * r21
+    C = (x.a * r22 - r12 * (x.a_I - x.m)) / det
+    I = (r11 * (x.a_I - x.m) - r21 * x.a) / det
+    exact = (C, I, x.k * x.m * I / x.sigma)
+    assert 1e-14 < min(exact) < 1e-13
+    assert eq_point(eq) == pytest.approx(exact, rel=1e-15)
 
 
 def test_underflowing_divisor():

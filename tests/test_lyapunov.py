@@ -8,6 +8,7 @@ import pytest
 
 from retrodyn import (
     Condition4Variant,
+    CubicCoeffs,
     DomainError,
     LyapunovCoeffs,
     ModelParams,
@@ -20,6 +21,7 @@ from retrodyn import (
     condition4,
     inner_equilibrium,
     omega_at,
+    routh_hurwitz_cubic,
     search_coeffs,
     vector_field,
     volterra,
@@ -33,7 +35,6 @@ from retrodyn.lyapunov import (
     _WEIGHTS, _definite_points, _grid_has_definite, _minors, _omega_entries, _positive_run,
 )
 from retrodyn.model import PARAM_NAMES, _cubic_coeffs, _jacobian_entries
-from retrodyn.stability import _hurwitz
 
 from conftest import _scaled, counting, eq_point, refuse_objects, sample_params, sample_params_mild, state_near
 
@@ -614,7 +615,8 @@ def _exact_failures(p, A, B, form):
         failed.append("Omega not exactly definite")
     if not np.all(np.linalg.eigvalsh(form.as_matrix()) > 0.0):
         failed.append("eigvalsh not positive")
-    if not all(margin > 0 for margin in _hurwitz(*_cubic_coeffs(*_jacobian_entries(x, x.alpha, x.k, *pt)))[0]):
+    cubic = CubicCoeffs(*_cubic_coeffs(*_jacobian_entries(x, x.alpha, x.k, *pt)))
+    if not all(margin > 0 for margin in routh_hurwitz_cubic(cubic).margins):
         failed.append("exact Hurwitz margin not positive")
     return failed
 

@@ -9,6 +9,7 @@ import pytest
 from retrodyn import (
     CubicCoeffs,
     Equilibrium,
+    EquilibriumKind,
     State,
     Verdict,
     all_equilibria,
@@ -19,12 +20,12 @@ from retrodyn import (
     jacobian,
     routh_hurwitz_cubic,
 )
-from retrodyn.equilibria import _inner_point
+from retrodyn.equilibria import _inner_point, _reduced_system
 from retrodyn.lyapunov import _condition4_sides, _minors, _omega_entries
 from retrodyn.model import PARAM_NAMES, _cubic_coeffs, _jacobian_entries
-from retrodyn.stability import _equilibrium_verdict
+from retrodyn.stability import _equilibrium_verdict, _reduced_cubic
 
-from conftest import _scaled, eq_point, sample_params
+from conftest import _scaled, eq_point, sample_params, sample_params_broad
 
 # Frozen on first computation for the P2 inner equilibrium.
 P2_CUBIC = (3.4504337050805454, 3.5274741304785113, 1.1332094175960348)
@@ -146,7 +147,9 @@ def test_classify_matches_direct_pipeline(p2):
     # classify_equilibrium's float path against the matrix path it
     # replaced, bit for bit: P2, sample_params draws, and the same draws
     # with rates and populations rescaled by 10^U(-150, 150), at the inner
-    # and the boundary equilibria.
+    # and the boundary equilibria.  The cubic and margins are the matrix
+    # path's; so is a boundary state's verdict, while an inner one's is
+    # the sweep's (det and the Hopf margin, with no band).
     rng = np.random.default_rng(103)
     cases = [p2]
     for _ in range(400):
@@ -165,7 +168,10 @@ def test_classify_matches_direct_pipeline(p2):
                 assert all(type(c) is float for c in cubic + rep.margins)
                 assert list(map(float.hex, cubic)) == list(map(float.hex, (want.cubic.p, want.cubic.q, want.cubic.r)))
                 assert list(map(float.hex, rep.margins)) == list(map(float.hex, want.margins)), (p, eq)
-                assert rep.verdict is want.verdict
+                if eq.kind is EquilibriumKind.INNER:
+                    assert rep.verdict is _equilibrium_verdict(p, p.alpha, p.k, *eq_point(eq))
+                else:
+                    assert rep.verdict is want.verdict
             verdicts.add(rep.verdict)
             nan_margins += rep.margins[2] != rep.margins[2]
     assert verdicts == set(Verdict) and nan_margins > 0
@@ -194,3 +200,43 @@ def test_kernels_stay_exact_on_fractions(name, request):
     float_sides = _condition4_sides(p, p.alpha, *float_point)
     got = [float(x) for x in entries + minors + sides]
     assert got == pytest.approx(float_entries + _minors(*float_entries) + float_sides, rel=1e-12)
+
+
+def test_reduced_cubic_is_the_jacobians_exactly():
+    # With the equilibrium relations substituted in, (p, q, r) equal the
+    # generic Jacobian's cubic exactly, at Fraction equilibria of both
+    # samplers (the broad one includes saddles).
+    rng = np.random.default_rng(107)
+    found = 0
+    for sampler in (sample_params, sample_params_broad):
+        for _ in range(150):
+            p = sampler(rng)
+            x = SimpleNamespace(**{name: Fraction(getattr(p, name)) for name in PARAM_NAMES})
+            point = _inner_point(x, x.alpha, x.k)
+            if point is None:
+                continue
+            found += 1
+            det = _reduced_system(x, x.alpha, x.k)[4]
+            assert _reduced_cubic(x, x.alpha, x.k, *point, det) == _cubic_coeffs(*_jacobian_entries(x, x.alpha, x.k, *point))
+    assert found > 150
+
+
+def test_inner_verdict_against_eigenvalues():
+    # det < 0 gives r = a*sigma*C*I*det < 0: a positive real root, so the
+    # point is a saddle.  numpy's eigenvalues agree with every verdict.
+    rng = np.random.default_rng(3)
+    saddles = verdicts = 0
+    for _ in range(300):
+        p = sample_params_broad(rng)
+        eq = inner_equilibrium(p)
+        if eq is None:
+            continue
+        verdict = classify_equilibrium(p, eq).verdict
+        eigenvalues = np.linalg.eigvals(jacobian(p, eq.point))
+        if _reduced_system(p, p.alpha, p.k)[4] < 0:
+            saddles += 1
+            assert verdict is Verdict.UNSTABLE
+            assert any(ev.imag == 0 and ev.real > 0 for ev in eigenvalues), eigenvalues
+        assert verdict is (Verdict.STABLE if max(eigenvalues.real) < 0 else Verdict.UNSTABLE), eigenvalues
+        verdicts += 1
+    assert saddles > 20 and verdicts > 100

@@ -19,6 +19,7 @@ import pytest
 
 from retrodyn import (
     Condition4Variant,
+    CubicCoeffs,
     IntegrationMode,
     IntegrationOptions,
     LyapunovCoeffs,
@@ -26,13 +27,14 @@ from retrodyn import (
     condition4,
     inner_equilibrium,
     integrate,
+    routh_hurwitz_cubic,
     w_dot,
     w_value,
 )
-from retrodyn.equilibria import _inner_point
+from retrodyn.equilibria import _inner_point, _reduced_system
 from retrodyn.lyapunov import _WEIGHTS, _grid_has_definite, _minors, _omega_entries
 from retrodyn.model import _cubic_coeffs, _jacobian_entries
-from retrodyn.stability import _equilibrium_verdict, _hurwitz
+from retrodyn.stability import _equilibrium_verdict, _reduced_cubic
 from retrodyn.sweep import evaluate_cell, find_alpha_margin
 
 from conftest import sample_params, sample_params_mild, state_near
@@ -83,7 +85,17 @@ def test_kernels_scale_exactly():
         cubic = _cubic_coeffs(*_jacobian_entries(p, p.alpha, p.k, *base))
         new_cubic = _cubic_coeffs(*_jacobian_entries(q, q.alpha, q.k, *new))
         _assert_scaled(new_cubic, cubic, (1 / T, T ** -2, T ** -3))
-        _assert_scaled(_hurwitz(*new_cubic)[0], _hurwitz(*cubic)[0], (1 / T, T ** -3, T ** -3))
+        margins = routh_hurwitz_cubic(CubicCoeffs(*cubic)).margins
+        new_margins = routh_hurwitz_cubic(CubicCoeffs(*new_cubic)).margins
+        _assert_scaled(new_margins, margins, (1 / T, T ** -3, T ** -3))
+
+        # the verdict's two signs: det, and h = p*q - r of the reduced cubic
+        det, new_det = _reduced_system(p, p.alpha, p.k)[4], _reduced_system(q, q.alpha, q.k)[4]
+        reduced = _reduced_cubic(p, p.alpha, p.k, *base, det)
+        new_reduced = _reduced_cubic(q, q.alpha, q.k, *new, new_det)
+        _assert_scaled(new_reduced, reduced, (1 / T, T ** -2, T ** -3))
+        h, new_h = (c[0] * c[1] - c[2] for c in (reduced, new_reduced))
+        _assert_scaled((new_det, new_h), (det, h), (1 / (T * P * P), T ** -3))
 
         # Omega and its minors at fixed weights, at the equilibrium and off it
         A, B = (_WEIGHTS[int(i)] for i in rng.integers(0, len(_WEIGHTS), 2))
@@ -146,27 +158,22 @@ def test_adaptive_integrate_with_a_virus_unit():
 
 def test_alpha_margin_scales_with_the_time_unit():
     # A time unit alone (P = Q = 1) divides every rate by T, and the
-    # search, run in the caller's units, divides its answer by T.  With
-    # |e| <= 4 no probe's verdict falls in MARGINAL_TOL's absolute band.
+    # search, run in the caller's units, divides its answer by T.
     rng = np.random.default_rng(89)
     for _ in range(300):
         p = sample_params(rng)
-        T = 2.0 ** int(rng.integers(-4, 5))
+        T = 2.0 ** int(rng.integers(-EXP, EXP + 1))
         q = _rescaled(p, T, 1.0, 1.0)
         want = find_alpha_margin(p, p.k, 10.0)
         got = find_alpha_margin(q, q.k, 10.0 / T)
         assert (got if got is None else got * T) == want, T
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: POSITIVITY_FLOOR is an absolute population")
 def test_existence_is_unit_free():
     for p, q, units, _ in _draws(71, 400):
         assert (_inner_point(q, q.alpha, q.k) is None) == (_inner_point(p, p.alpha, p.k) is None), units
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: MARGINAL_TOL is an absolute margin")
 def test_verdict_is_unit_free():
     for p, q, units, _ in _draws(71, 400):
         base, new = _inner_point(p, p.alpha, p.k), _inner_point(q, q.alpha, q.k)

@@ -30,7 +30,10 @@ interpreter.  Both workers run:
 
 The last line printed is the summary: mismatches per command (out of
 the configs), per function (out of the draws) and in the maps (out of
-the maps).  Each mismatch is also named on stderr.  The exit code is 0
+the maps), each with the count among the unscaled ones (the README
+config and the overflowed one, the even draws, the even maps), so a
+change that only removes a dependence on the units shows "0 unscaled"
+throughout.  Each mismatch is also named on stderr.  The exit code is 0
 when nothing differs and 1 otherwise.  ``--src`` takes the ``src``
 directory of another tree in place of this checkout's working tree.
 """
@@ -71,6 +74,8 @@ MAP_BASE = {"a": 1.0, "a_I": 0.8, "b11": 0.3, "b12": 0.05, "b21": 0.05, "b22": 0
 P1 = {"a": 1, "a_I": 2, "b11": 1, "b12": 0, "b21": 0, "b22": 1, "alpha": 0, "m": 1, "k": 1, "sigma": 2}
 PU = {"a": 1, "a_I": 0.5, "b11": 0.1, "b12": 0.01, "b21": 0.01, "b22": 0.1,
       "alpha": 2, "m": 2, "k": 30, "sigma": 0.2}
+# the configs in the units they were written in; the rest are rescaled
+UNSCALED_CONFIGS = ("readme", "overflowed-inner")
 
 
 def configs() -> dict:
@@ -259,8 +264,9 @@ def main(argv=None) -> int:
     old, new = results
 
     labels = {"commands": list(cases), "functions": range(DRAWS), "maps": range(MAPS)}
+    unscaled = {"commands": set(UNSCALED_CONFIGS), "functions": range(0, DRAWS, 2), "maps": range(0, MAPS, 2)}
     parts = []
-    total = 0
+    total = total_unscaled = 0
     for section, names in (("commands", COMMANDS), ("functions", FUNCTIONS), ("maps", ("stability_map",))):
         counts = []
         for name in names:
@@ -268,10 +274,13 @@ def main(argv=None) -> int:
             bad = [label for label, a, b in pairs if a != b]
             for label in bad:
                 print(f"mismatch: {name} on {section[:-1]} {label}", file=sys.stderr)
+            bad_unscaled = sum(label in unscaled[section] for label in bad)
             total += len(bad)
-            counts.append(f"{name} {len(bad)}/{len(pairs)}")
+            total_unscaled += bad_unscaled
+            counts.append(f"{name} {len(bad)}/{len(pairs)} ({bad_unscaled} unscaled)")
         parts.append(f"{section}: " + ", ".join(counts))
-    print(f"diffcheck {args.against} -> {args.src}: " + "; ".join(parts) + f"; {total} mismatches")
+    print(f"diffcheck {args.against} -> {args.src}: " + "; ".join(parts)
+          + f"; {total} mismatches ({total_unscaled} unscaled)")
     return 0 if total == 0 else 1
 
 

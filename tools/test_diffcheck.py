@@ -15,7 +15,9 @@ SRC = diffcheck.ROOT / "src"
 
 
 def _counts(summary):
-    return {name: int(bad) for name, bad in re.findall(r"(\w+) (\d+)/\d+", summary)}
+    """{name: (mismatches, of them unscaled)} from the summary line."""
+    return {name: (int(bad), int(unscaled))
+            for name, bad, unscaled in re.findall(r"(\w+) (\d+)/\d+ \((\d+) unscaled\)", summary)}
 
 
 def _copy(tmp_path):
@@ -26,10 +28,10 @@ def test_tree_against_itself(tmp_path, capsys):
     assert diffcheck.main(["--against", str(SRC), "--src", str(_copy(tmp_path))]) == 0
     out = capsys.readouterr()
     summary = out.out.splitlines()[-1]
-    assert summary.endswith("; 0 mismatches") and out.err == ""
+    assert summary.endswith("; 0 mismatches (0 unscaled)") and out.err == ""
     counts = _counts(summary)
     assert set(counts) == set(diffcheck.COMMANDS + diffcheck.FUNCTIONS) | {"stability_map"}
-    assert not any(counts.values())
+    assert set(counts.values()) == {(0, 0)}
 
 
 def _mutated(tmp_path, module, old, new):
@@ -48,21 +50,21 @@ def test_changed_kernel_constant_is_reported(tmp_path, capsys):
     assert diffcheck.main(["--against", str(SRC), "--src", str(src)]) == 1
     out = capsys.readouterr()
     counts = _counts(out.out.splitlines()[-1])
-    assert counts["condition4"] > 0 and counts["stability"] > 0
-    assert counts["inner_equilibrium"] == counts["simulate"] == 0
+    assert counts["condition4"][1] > 0 and counts["stability"][1] > 0
+    assert counts["inner_equilibrium"] == counts["simulate"] == (0, 0)
     assert "mismatch: condition4 on function " in out.err
 
 
 def test_changed_cell_text_is_reported(tmp_path, capsys):
-    # the map CSV writes Stable for Marginal: rescaled maps hold Marginal
-    # cells (MARGINAL_TOL is absolute), and so do the x1e103 configs
+    # the map CSV writes Stable for Unstable: maps in any units hold
+    # Unstable cells, and so do the sweeps of the configs
     src = _mutated(tmp_path, "sweep.py", "cell.rh_verdict.value,",
-                   "cell.rh_verdict.value.replace(\"Marginal\", \"Stable\"),")
+                   "cell.rh_verdict.value.replace(\"Unstable\", \"Stable\"),")
     assert diffcheck.main(["--against", str(SRC), "--src", str(src)]) == 1
     out = capsys.readouterr()
     counts = _counts(out.out.splitlines()[-1])
-    assert counts["stability_map"] > 0 and counts["sweep"] > 0
-    assert counts["evaluate_cell"] == counts["stability"] == 0
+    assert counts["stability_map"][1] > 0 and counts["sweep"][0] > 0
+    assert counts["evaluate_cell"] == counts["stability"] == (0, 0)
     assert "mismatch: stability_map on map " in out.err
 
 
@@ -72,5 +74,5 @@ def test_indefinite_first_guess_is_reported(tmp_path, capsys):
                    "if d1 > 0.0 and d2 > 0.0:\n        return True")
     assert diffcheck.main(["--against", str(SRC), "--src", str(src)]) == 1
     counts = _counts(capsys.readouterr().out.splitlines()[-1])
-    assert counts["stability_map"] > 0 and counts["evaluate_cell"] > 0
-    assert counts["search_coeffs"] == counts["condition4"] == 0
+    assert counts["stability_map"][0] > 0 and counts["evaluate_cell"][0] > 0
+    assert counts["search_coeffs"] == counts["condition4"] == (0, 0)
