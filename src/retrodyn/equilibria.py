@@ -48,29 +48,23 @@ def _over_product(x, u, v, w=1):
     return x / uvw if uvw != 0 else x / u / v / w
 
 
-def _reduced_system(p: ModelParams, alpha, k) -> tuple:
-    # (a11, a12, a21, a22, det) of the reduced 2x2 system at (alpha, k)
-    # in place of p.alpha and p.k; its right-hand side is (1, a_I - m).
+def _inner_point(p: ModelParams, alpha: float, k: float) -> Optional[tuple]:
+    # (C, I, V, det) for inner_equilibrium's point and the reduced
+    # system's determinant, or None, at (alpha, k) in place of p.alpha
+    # and p.k: the one solve behind a sweep cell, a probe and a verdict.
     akm = alpha * k * p.m
-    a11 = p.b11
     a12 = p.b12 + _over_product(akm, p.a, p.sigma)
     a21 = p.a_I * p.b21 - akm / p.sigma
     a22 = p.a_I * p.b22
-    return a11, a12, a21, a22, a11 * a22 - a12 * a21
-
-
-def _inner_point(p: ModelParams, alpha: float, k: float) -> Optional[tuple]:
-    # inner_equilibrium's point (C, I, V), or None, at (alpha, k) in
-    # place of p.alpha and p.k; the sweep calls it once per cell.
-    a11, a12, a21, a22, det = _reduced_system(p, alpha, k)
+    det = p.b11 * a22 - a12 * a21
     if det == 0:
         return None
     r2 = p.a_I - p.m
     C = (a22 - a12 * r2) / det
-    I = (a11 * r2 - a21) / det
+    I = (p.b11 * r2 - a21) / det
     V = k * p.m * I / p.sigma
     if C > 0 and I > 0 and V > 0:
-        return C, I, V
+        return C, I, V, det
     return None
 
 
@@ -85,7 +79,7 @@ def inner_equilibrium(params: ModelParams) -> Optional[Equilibrium]:
     point = _inner_point(params, params.alpha, params.k)
     if point is None:
         return None
-    return Equilibrium(State(*point), EquilibriumKind.INNER)
+    return Equilibrium(State(*point[:3]), EquilibriumKind.INNER)
 
 
 def boundary_equilibria(params: ModelParams) -> list:

@@ -10,8 +10,9 @@ cubic and at a boundary equilibrium a margin inside [-MARGINAL_TOL,
 MARGINAL_TOL] makes the verdict Marginal, and so does a NaN margin when
 no other margin is clearly negative.  At the inner equilibrium the
 Jacobian with the equilibrium relations substituted in has p > 0 and
-r = a*sigma*C^*I^*det, det the reduced system's: det < 0 is a saddle,
-and otherwise the sign of the Hopf margin h = p*q - r decides (Marginal
+r = a*sigma*C^*I^*det, det the reduced system's as the solve in
+``equilibria._inner_point`` returns it: det < 0 is a saddle, and
+otherwise the sign of the Hopf margin h = p*q - r decides (Marginal
 only when h is 0 or NaN).  These are float signs, with no band.  Every
 cubic and margin reported comes from the kernels ``_jacobian_entries``
 and ``_cubic_coeffs``: the bits of ``char_cubic(jacobian(...))``.
@@ -22,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .equilibria import Equilibrium, EquilibriumKind, _reduced_system
+from .equilibria import Equilibrium, EquilibriumKind, _inner_point
 from .model import CubicCoeffs, ModelParams, _cubic_coeffs, _jacobian_entries
 
 MARGINAL_TOL = 1e-12
@@ -79,7 +80,8 @@ def classify_equilibrium(params: ModelParams, eq: Equilibrium) -> StabilityRepor
     report = routh_hurwitz_cubic(CubicCoeffs(*_cubic_coeffs(*entries)))
     if eq.kind is not EquilibriumKind.INNER:
         return report
-    return StabilityReport(report.cubic, _equilibrium_verdict(params, params.alpha, params.k, C, I, V), report.margins)
+    det = _inner_point(params, params.alpha, params.k)[3]
+    return StabilityReport(report.cubic, _equilibrium_verdict(params, params.alpha, params.k, C, I, V, det), report.margins)
 
 
 def _reduced_cubic(p: ModelParams, alpha, k, C, I, V, det) -> tuple:
@@ -95,10 +97,10 @@ def _reduced_cubic(p: ModelParams, alpha, k, C, I, V, det) -> tuple:
     )
 
 
-def _equilibrium_verdict(params: ModelParams, alpha, k, C, I, V) -> Verdict:
+def _equilibrium_verdict(params: ModelParams, alpha, k, C, I, V, det) -> Verdict:
     # The verdict at the inner equilibrium (C, I, V) of params with
-    # (alpha, k) in place of params.alpha and params.k.
-    det = _reduced_system(params, alpha, k)[4]
+    # (alpha, k) in place of params.alpha and params.k, and det the
+    # reduced system's: the four values _inner_point returns.
     if det < 0:
         return _UNSTABLE
     p, q, r = _reduced_cubic(params, alpha, k, C, I, V, det)

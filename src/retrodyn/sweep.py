@@ -152,8 +152,9 @@ def evaluate_cell(base: ModelParams, alpha: float, k: float) -> SweepCell:
     if pt is None:
         return _ABSENT
     verdict = _equilibrium_verdict(base, alpha, k, *pt)
-    definite = verdict is not _UNSTABLE and _grid_has_definite(base, alpha, k, pt)
-    lhs, rhs_as_written, rhs_corrected = _condition4_sides(base, alpha, *pt)
+    C, I, V, _ = pt
+    definite = verdict is not _UNSTABLE and _grid_has_definite(base, alpha, k, (C, I, V))
+    lhs, rhs_as_written, rhs_corrected = _condition4_sides(base, alpha, C, I, V)
     return _INNER[verdict, definite, lhs > rhs_as_written, lhs > rhs_corrected]
 
 

@@ -14,6 +14,8 @@ from retrodyn import (
     residual,
     vector_field,
 )
+from retrodyn.equilibria import _inner_point
+from retrodyn.model import PARAM_NAMES
 
 from conftest import eq_point, sample_params
 
@@ -124,6 +126,35 @@ def test_tiny_chronic_state_exists(fields):
     exact = (C, I, x.k * x.m * I / x.sigma)
     assert 1e-14 < min(exact) < 1e-13
     assert eq_point(eq) == pytest.approx(exact, rel=1e-15)
+
+
+def test_chronic_state_is_the_invasion_numbers_over_det():
+    # The chronic state's coordinates are invasion margins over det
+    # (Hofbauer & Sigmund's invasion picture): I*det is b11*m*(R_V - 1),
+    # R_V the virus's basic reproduction number at the virus-free state,
+    # and C*det is (a_I*b22/a)*g_C, g_C the growth rate of uninfected
+    # cells invading the infected-only state (C, I, V) = (0, I1, V1).
+    # Exact, on random rational parameters.
+    rng = np.random.default_rng(37)
+
+    def rational():
+        return Fraction(int(rng.integers(1, 301)), int(rng.integers(1, 101)))
+
+    found = 0
+    for _ in range(400):
+        x = SimpleNamespace(**{name: rational() for name in PARAM_NAMES})
+        solved = _inner_point(x, x.alpha, x.k)
+        if solved is None:
+            continue
+        found += 1
+        C, I, V, det = solved
+        R_V = x.a_I * (1 - x.b21 / x.b11) / x.m + x.k * x.alpha / (x.b11 * x.sigma)
+        I1 = (x.a_I - x.m) / (x.a_I * x.b22)
+        V1 = x.k * x.m * I1 / x.sigma
+        g_C = x.a * (1 - x.b12 * I1) - x.alpha * V1
+        assert I * det == x.b11 * x.m * (R_V - 1), x
+        assert C * det == (x.a_I * x.b22 / x.a) * g_C, x
+    assert found > 150
 
 
 def test_underflowing_divisor():

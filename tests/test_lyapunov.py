@@ -202,11 +202,12 @@ def test_omega_at_equilibrium_is_minus_sym_pj():
     found = 0
     while found < 120:
         p = SimpleNamespace(**{name: rational() for name in PARAM_NAMES})
-        point = _inner_point(p, p.alpha, p.k)
-        if point is None:
+        solved = _inner_point(p, p.alpha, p.k)
+        if solved is None:
             continue
         found += 1
-        C, I, V = point
+        C, I, V, _ = solved
+        point = (C, I, V)
         A, B, D = rational(), rational(), rational()
         w11, w22, w33, w12, w13, w23 = _omega_entries(p, p.alpha, p.k, A, B, D, point, point)
         j = _jacobian_entries(p, p.alpha, p.k, C, I, V)
@@ -610,6 +611,7 @@ def _exact_failures(p, A, B, form):
     pt = _inner_point(x, x.alpha, x.k)
     if pt is None:
         return ["no exact inner equilibrium"]
+    pt = pt[:3]
     failed = []
     if not all(d > 0 for d in _minors(*_omega_entries(x, x.alpha, x.k, Fraction(A), Fraction(B), 1, pt, pt))):
         failed.append("Omega not exactly definite")

@@ -20,7 +20,7 @@ from retrodyn import (
     jacobian,
     routh_hurwitz_cubic,
 )
-from retrodyn.equilibria import _inner_point, _reduced_system
+from retrodyn.equilibria import _inner_point
 from retrodyn.lyapunov import _condition4_sides, _minors, _omega_entries
 from retrodyn.model import PARAM_NAMES, _cubic_coeffs, _jacobian_entries
 from retrodyn.stability import _equilibrium_verdict, _reduced_cubic
@@ -169,7 +169,7 @@ def test_classify_matches_direct_pipeline(p2):
                 assert list(map(float.hex, cubic)) == list(map(float.hex, (want.cubic.p, want.cubic.q, want.cubic.r)))
                 assert list(map(float.hex, rep.margins)) == list(map(float.hex, want.margins)), (p, eq)
                 if eq.kind is EquilibriumKind.INNER:
-                    assert rep.verdict is _equilibrium_verdict(p, p.alpha, p.k, *eq_point(eq))
+                    assert rep.verdict is _equilibrium_verdict(p, p.alpha, p.k, *_inner_point(p, p.alpha, p.k))
                 else:
                     assert rep.verdict is want.verdict
             verdicts.add(rep.verdict)
@@ -185,17 +185,19 @@ def test_kernels_stay_exact_on_fractions(name, request):
     # stay exact as well.
     p = request.getfixturevalue(name)
     exact = SimpleNamespace(**{n: Fraction(getattr(p, n)) for n in PARAM_NAMES})
-    point = _inner_point(exact, exact.alpha, exact.k)
+    solved = _inner_point(exact, exact.alpha, exact.k)
+    point = solved[:3]
     cubic = _cubic_coeffs(*_jacobian_entries(exact, exact.alpha, exact.k, *point))
     weights = (Fraction(1, 3), Fraction(5, 2), Fraction(1))
     entries = _omega_entries(exact, exact.alpha, exact.k, *weights, point, point)
     minors = _minors(*entries)
     sides = _condition4_sides(exact, exact.alpha, *point)
-    assert all(type(x) is Fraction for x in point + cubic + entries + minors + sides)
-    float_point = _inner_point(p, p.alpha, p.k)
+    assert all(type(x) is Fraction for x in solved + cubic + entries + minors + sides)
+    float_solved = _inner_point(p, p.alpha, p.k)
+    float_point = float_solved[:3]
     assert [float(x) for x in point] == pytest.approx(float_point, rel=1e-12)
-    want = _equilibrium_verdict(p, p.alpha, p.k, *float_point)
-    assert _equilibrium_verdict(exact, exact.alpha, exact.k, *point) is want
+    want = _equilibrium_verdict(p, p.alpha, p.k, *float_solved)
+    assert _equilibrium_verdict(exact, exact.alpha, exact.k, *solved) is want
     float_entries = _omega_entries(p, p.alpha, p.k, *map(float, weights), float_point, float_point)
     float_sides = _condition4_sides(p, p.alpha, *float_point)
     got = [float(x) for x in entries + minors + sides]
@@ -212,13 +214,34 @@ def test_reduced_cubic_is_the_jacobians_exactly():
         for _ in range(150):
             p = sampler(rng)
             x = SimpleNamespace(**{name: Fraction(getattr(p, name)) for name in PARAM_NAMES})
-            point = _inner_point(x, x.alpha, x.k)
-            if point is None:
+            solved = _inner_point(x, x.alpha, x.k)
+            if solved is None:
                 continue
             found += 1
-            det = _reduced_system(x, x.alpha, x.k)[4]
-            assert _reduced_cubic(x, x.alpha, x.k, *point, det) == _cubic_coeffs(*_jacobian_entries(x, x.alpha, x.k, *point))
+            C, I, V, det = solved
+            assert _reduced_cubic(x, x.alpha, x.k, C, I, V, det) == _cubic_coeffs(*_jacobian_entries(x, x.alpha, x.k, C, I, V))
     assert found > 150
+
+
+def test_virus_free_verdict_follows_r_v():
+    # The virus-free state (1/b11, 0, 0) is Stable exactly when the
+    # virus cannot invade it: R_V < 1, R_V = a_I*(1 - b21/b11)/m +
+    # k*alpha/(b11*sigma).  Draws within 1e-9 of R_V = 1, where the
+    # margin band decides, are skipped.
+    rng = np.random.default_rng(113)
+    stable = skipped = 0
+    for _ in range(5000):
+        p = sample_params(rng)
+        r_v = p.a_I * (1 - p.b21 / p.b11) / p.m + p.k * p.alpha / (p.b11 * p.sigma)
+        if abs(r_v - 1) < 1e-9:
+            skipped += 1
+            continue
+        eq = boundary_equilibria(p)[1]
+        assert eq.kind is EquilibriumKind.UNINFECTED_ONLY
+        verdict = classify_equilibrium(p, eq).verdict
+        assert verdict is (Verdict.STABLE if r_v < 1 else Verdict.UNSTABLE), (p, r_v)
+        stable += verdict is Verdict.STABLE
+    assert 500 < stable < 4500 and skipped < 10
 
 
 def test_inner_verdict_against_eigenvalues():
@@ -233,7 +256,7 @@ def test_inner_verdict_against_eigenvalues():
             continue
         verdict = classify_equilibrium(p, eq).verdict
         eigenvalues = np.linalg.eigvals(jacobian(p, eq.point))
-        if _reduced_system(p, p.alpha, p.k)[4] < 0:
+        if _inner_point(p, p.alpha, p.k)[3] < 0:
             saddles += 1
             assert verdict is Verdict.UNSTABLE
             assert any(ev.imag == 0 and ev.real > 0 for ev in eigenvalues), eigenvalues

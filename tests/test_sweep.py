@@ -25,13 +25,15 @@ from retrodyn import (
     search_coeffs,
     stability_map,
 )
+import retrodyn.equilibria
 import retrodyn.lyapunov
 import retrodyn.sweep
+from retrodyn.equilibria import _inner_point
 from retrodyn.lyapunov import _WEIGHTS
 from retrodyn.stability import _equilibrium_verdict
 from retrodyn.sweep import _ABSENT, _INNER, _anchored_rectangle
 
-from conftest import _log_uniform, _scaled, counting, eq_point, refuse_objects, sample_params
+from conftest import _log_uniform, _scaled, counting, refuse_objects, sample_params
 from test_acceptance import _family_maps
 
 # Frozen: bisection endpoint for the P2 base at k = 1 and alpha_hi = 5
@@ -179,7 +181,7 @@ def test_unstable_equilibrium_has_no_definite_form(seed, time, population, alpha
             p = _scaled(base.replace(alpha=alpha, k=k), time, ("a", "a_I", "m", "sigma", "alpha"))
             p = _scaled(p, population, ("b11", "b12", "b21", "b22", "alpha"))
             eq = inner_equilibrium(p)
-            if eq is not None and _equilibrium_verdict(p, p.alpha, p.k, *eq_point(eq)) is Verdict.UNSTABLE:
+            if eq is not None and _equilibrium_verdict(p, p.alpha, p.k, *_inner_point(p, p.alpha, p.k)) is Verdict.UNSTABLE:
                 assert search_coeffs(p, eq) is None, p
 
 
@@ -500,6 +502,24 @@ def test_alpha_margin_probes_build_no_object(p2, p_unstable, monkeypatch):
     assert got == want
     # None, alpha_hi itself (True) and a bisected edge (False) all occur
     assert {None if g is None else g == case[2] for g, case in zip(got, cases)} == {None, True, False}
+
+
+def test_reduced_system_solved_once_per_cell_and_probe(p2, monkeypatch):
+    # The verdict takes det from the solve that found the point, so a
+    # cell, a probe and an inner classify_equilibrium each solve once.
+    # Each solve calls _over_product once; lyapunov binds its own name,
+    # so Omega's calls are not counted.
+    solves = counting(monkeypatch, retrodyn.equilibria, "_over_product")
+    probes = counting(monkeypatch, retrodyn.sweep, "_inner_point")
+    assert evaluate_cell(p2, 0.5, 1.0).rh_verdict is Verdict.STABLE
+    assert len(solves) == len(probes) == 1
+    del solves[:], probes[:]
+    assert find_alpha_margin(p2, 1.0, 10.0) == pytest.approx(37 / 15, abs=1e-5)
+    assert len(solves) == len(probes) > 20
+    eq = inner_equilibrium(p2)
+    del solves[:]
+    assert classify_equilibrium(p2, eq).verdict is Verdict.STABLE
+    assert len(solves) == 1
 
 
 def test_alpha_margin_none_when_unstable_at_floor(p_unstable):

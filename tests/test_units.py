@@ -31,7 +31,7 @@ from retrodyn import (
     w_dot,
     w_value,
 )
-from retrodyn.equilibria import _inner_point, _reduced_system
+from retrodyn.equilibria import _inner_point
 from retrodyn.lyapunov import _WEIGHTS, _grid_has_definite, _minors, _omega_entries
 from retrodyn.model import _cubic_coeffs, _jacobian_entries
 from retrodyn.stability import _equilibrium_verdict, _reduced_cubic
@@ -76,10 +76,11 @@ def _draws(seed, count, sampler=sample_params):
 def test_kernels_scale_exactly():
     compared = 0
     for p, q, (T, P, Q), rng in _draws(71, 400):
-        base, new = _inner_point(p, p.alpha, p.k), _inner_point(q, q.alpha, q.k)
-        if base is None or new is None:
+        solved, new_solved = _inner_point(p, p.alpha, p.k), _inner_point(q, q.alpha, q.k)
+        if solved is None or new_solved is None:
             continue  # existence itself is test_existence_is_unit_free
         compared += 1
+        base, det, new, new_det = solved[:3], solved[3], new_solved[:3], new_solved[3]
         _assert_scaled(new, base, (P, P, Q))
 
         cubic = _cubic_coeffs(*_jacobian_entries(p, p.alpha, p.k, *base))
@@ -90,7 +91,6 @@ def test_kernels_scale_exactly():
         _assert_scaled(new_margins, margins, (1 / T, T ** -3, T ** -3))
 
         # the verdict's two signs: det, and h = p*q - r of the reduced cubic
-        det, new_det = _reduced_system(p, p.alpha, p.k)[4], _reduced_system(q, q.alpha, q.k)[4]
         reduced = _reduced_cubic(p, p.alpha, p.k, *base, det)
         new_reduced = _reduced_cubic(q, q.alpha, q.k, *new, new_det)
         _assert_scaled(new_reduced, reduced, (1 / T, T ** -2, T ** -3))
