@@ -133,18 +133,19 @@ def vector_field(params: ModelParams, s: State) -> Derivative:
     return Derivative(dC, dI, dV)
 
 
-def _jacobian_entries(p: ModelParams, alpha, k, C, I, V) -> tuple:
-    # Row-major entries of the Jacobian at (C, I, V), with (alpha, k) in
-    # place of p.alpha and p.k.  Int literals keep Fraction inputs exact.
+def _jacobian_entries(p: ModelParams, C, I, V) -> tuple:
+    # Row-major entries of the Jacobian at any point (C, I, V); the sweep
+    # decides the inner state through stability._reduced_cubic instead.
+    # Int literals keep Fraction inputs exact.
     return (
-        p.a * (1 - 2 * p.b11 * C - p.b12 * I) - alpha * V,
+        p.a * (1 - 2 * p.b11 * C - p.b12 * I) - p.alpha * V,
         -p.a * p.b12 * C,
-        -alpha * C,
-        -p.a_I * p.b21 * I + alpha * V,
+        -p.alpha * C,
+        -p.a_I * p.b21 * I + p.alpha * V,
         p.a_I * (1 - p.b21 * C - 2 * p.b22 * I) - p.m,
-        alpha * C,
+        p.alpha * C,
         0,
-        k * p.m,
+        p.k * p.m,
         -p.sigma,
     )
 
@@ -157,7 +158,7 @@ def jacobian(params: ModelParams, s: State) -> np.ndarray:
     """
     import numpy as np
 
-    entries = _jacobian_entries(params, params.alpha, params.k, s.C, s.I, s.V)
+    entries = _jacobian_entries(params, s.C, s.I, s.V)
     return np.array(entries, dtype=float).reshape(3, 3)
 
 

@@ -24,6 +24,7 @@ import enum
 from dataclasses import dataclass
 
 from .equilibria import Equilibrium, EquilibriumKind, _inner_point
+from .errors import ParameterError
 from .model import CubicCoeffs, ModelParams, _cubic_coeffs, _jacobian_entries
 
 MARGINAL_TOL = 1e-12
@@ -70,18 +71,20 @@ def routh_hurwitz_cubic(cubic: CubicCoeffs) -> StabilityReport:
 def classify_equilibrium(params: ModelParams, eq: Equilibrium) -> StabilityReport:
     """Routh-Hurwitz report for the linearization at an equilibrium.
 
-    An INNER ``eq`` must be the inner equilibrium of ``params``: its
-    verdict is the module docstring's two signs, so within rounding of
-    zero a printed margin can disagree with it.
+    An INNER ``eq`` must be the inner equilibrium of ``params``, point for
+    point in floats; otherwise ParameterError is raised.  Its verdict is
+    the module docstring's two signs, so within rounding of zero a
+    printed margin can disagree with it.
     """
     s = eq.point  # may hold numpy scalars (a trajectory's row); the report holds floats
     C, I, V = float(s.C), float(s.I), float(s.V)
-    entries = _jacobian_entries(params, params.alpha, params.k, C, I, V)
-    report = routh_hurwitz_cubic(CubicCoeffs(*_cubic_coeffs(*entries)))
+    report = routh_hurwitz_cubic(CubicCoeffs(*_cubic_coeffs(*_jacobian_entries(params, C, I, V))))
     if eq.kind is not EquilibriumKind.INNER:
         return report
-    det = _inner_point(params, params.alpha, params.k)[3]
-    return StabilityReport(report.cubic, _equilibrium_verdict(params, params.alpha, params.k, C, I, V, det), report.margins)
+    solved = _inner_point(params, params.alpha, params.k)
+    if solved is None or solved[:3] != (C, I, V):
+        raise ParameterError(f"eq is not the inner equilibrium of params, got {eq.point}")
+    return StabilityReport(report.cubic, _equilibrium_verdict(params, params.alpha, params.k, *solved), report.margins)
 
 
 def _reduced_cubic(p: ModelParams, alpha, k, C, I, V, det) -> tuple:

@@ -6,13 +6,16 @@ coexistence equilibrium is clearly unstable (Hurwitz margin < -1e-2).
 """
 
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
 
 from retrodyn import Equilibrium, LyapunovCoeffs, ModelParams, OmegaForm, State, vector_field
+from retrodyn.equilibria import _inner_point
 from retrodyn.model import PARAM_NAMES
+from retrodyn.stability import _equilibrium_verdict
 
 # One line per acceptance check, echoed after the test summary so the
 # verdicts land in the run log (stdout capture would swallow them).
@@ -54,11 +57,6 @@ def log_uniform(rng, lo, hi):
     # math, not numpy: numpy's exp and log may pick a SIMD kernel per host,
     # and the draws must have the same bits everywhere.
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-
-def _log_uniform(lo, hi):
-    """Hypothesis strategy for 10**e with e uniform in [lo, hi]."""
-    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
 def _scaled(p, factor, names):
@@ -114,6 +112,46 @@ def sample_params_mild(rng):
         k=log_uniform(rng, 0.3, 1.5),
         sigma=log_uniform(rng, 0.5, 2.0),
     )
+
+
+def _decision(p, alpha, k):
+    # None where _inner_point finds no point, else the verdict there
+    solved = _inner_point(p, alpha, k)
+    return None if solved is None else _equilibrium_verdict(p, alpha, k, *solved)
+
+
+def decisions_near_thresholds(rng, bases):
+    """(existence changes, float decision, exact decision) at the 17
+    alphas from -8 to +8 ulps around each change of the float decision
+    (None, or the verdict at the inner equilibrium) found on a 401-point
+    log alpha grid over [1e-3, 1e2] and located by float bisection, for
+    ``bases`` sample_params draws with one k each.  The exact decision
+    runs the same kernels on Fractions of the same floats."""
+    step = (math.log(1e2) - math.log(1e-3)) / 400
+    grid = [math.exp(math.log(1e-3) + i * step) for i in range(401)]
+    out = []
+    for _ in range(bases):
+        p, k = sample_params(rng), log_uniform(rng, 1e-2, 1e3)
+        exact = SimpleNamespace(**{name: Fraction(getattr(p, name)) for name in PARAM_NAMES})
+        decisions = [_decision(p, alpha, k) for alpha in grid]
+        for lo, hi, low, high in zip(grid, grid[1:], decisions, decisions[1:]):
+            if low == high:
+                continue
+            while lo < (mid := (lo + hi) / 2) < hi:
+                at = _decision(p, mid, k)
+                if at == low:
+                    lo = mid
+                else:
+                    hi, high = mid, at
+            existence = (low is None) != (high is None)
+            alphas = [hi]
+            below = above = hi
+            for _ in range(8):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                alphas += [below, above]
+            for alpha in alphas:
+                out.append((existence, _decision(p, alpha, k), _decision(exact, Fraction(alpha), Fraction(k))))
+    return out
 
 
 def state_near(rng, point, spread):

@@ -210,7 +210,7 @@ def test_omega_at_equilibrium_is_minus_sym_pj():
         point = (C, I, V)
         A, B, D = rational(), rational(), rational()
         w11, w22, w33, w12, w13, w23 = _omega_entries(p, p.alpha, p.k, A, B, D, point, point)
-        j = _jacobian_entries(p, p.alpha, p.k, C, I, V)
+        j = _jacobian_entries(p, C, I, V)
         J = [[j[3 * (2 - r) + (2 - c)] for c in range(3)] for r in range(3)]  # (V, I, C) order
         P = (D / (V * V), B / (I * I), A / (C * C))
         want = [[-(P[r] * J[r][c] + P[c] * J[c][r]) / 2 for c in range(3)] for r in range(3)]
@@ -617,7 +617,7 @@ def _exact_failures(p, A, B, form):
         failed.append("Omega not exactly definite")
     if not np.all(np.linalg.eigvalsh(form.as_matrix()) > 0.0):
         failed.append("eigvalsh not positive")
-    cubic = CubicCoeffs(*_cubic_coeffs(*_jacobian_entries(x, x.alpha, x.k, *pt)))
+    cubic = CubicCoeffs(*_cubic_coeffs(*_jacobian_entries(x, *pt)))
     if not all(margin > 0 for margin in routh_hurwitz_cubic(cubic).margins):
         failed.append("exact Hurwitz margin not positive")
     return failed

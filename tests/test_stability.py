@@ -10,6 +10,7 @@ from retrodyn import (
     CubicCoeffs,
     Equilibrium,
     EquilibriumKind,
+    ParameterError,
     State,
     Verdict,
     all_equilibria,
@@ -25,7 +26,7 @@ from retrodyn.lyapunov import _condition4_sides, _minors, _omega_entries
 from retrodyn.model import PARAM_NAMES, _cubic_coeffs, _jacobian_entries
 from retrodyn.stability import _equilibrium_verdict, _reduced_cubic
 
-from conftest import _scaled, eq_point, sample_params, sample_params_broad
+from conftest import _scaled, decisions_near_thresholds, eq_point, sample_params, sample_params_broad
 
 # Frozen on first computation for the P2 inner equilibrium.
 P2_CUBIC = (3.4504337050805454, 3.5274741304785113, 1.1332094175960348)
@@ -127,6 +128,14 @@ def test_classify_p2_frozen(p2):
     assert rep.margins[2] == pytest.approx(P2_PQ_MINUS_R, rel=1e-12)
 
 
+def test_classify_rejects_an_inner_equilibrium_of_other_params(p1, p2, p3):
+    # P3 has no inner equilibrium, and P1's differs from P2's.
+    eq = inner_equilibrium(p2)
+    for params in (p3, p1):
+        with pytest.raises(ParameterError, match="not the inner equilibrium of params"):
+            classify_equilibrium(params, eq)
+
+
 def test_classify_unstable_exemplar(p_unstable):
     rep = classify_equilibrium(p_unstable, inner_equilibrium(p_unstable))
     assert rep.verdict is Verdict.UNSTABLE
@@ -187,7 +196,7 @@ def test_kernels_stay_exact_on_fractions(name, request):
     exact = SimpleNamespace(**{n: Fraction(getattr(p, n)) for n in PARAM_NAMES})
     solved = _inner_point(exact, exact.alpha, exact.k)
     point = solved[:3]
-    cubic = _cubic_coeffs(*_jacobian_entries(exact, exact.alpha, exact.k, *point))
+    cubic = _cubic_coeffs(*_jacobian_entries(exact, *point))
     weights = (Fraction(1, 3), Fraction(5, 2), Fraction(1))
     entries = _omega_entries(exact, exact.alpha, exact.k, *weights, point, point)
     minors = _minors(*entries)
@@ -219,8 +228,18 @@ def test_reduced_cubic_is_the_jacobians_exactly():
                 continue
             found += 1
             C, I, V, det = solved
-            assert _reduced_cubic(x, x.alpha, x.k, C, I, V, det) == _cubic_coeffs(*_jacobian_entries(x, x.alpha, x.k, C, I, V))
+            assert _reduced_cubic(x, x.alpha, x.k, C, I, V, det) == _cubic_coeffs(*_jacobian_entries(x, C, I, V))
     assert found > 150
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the inner verdict rests on float signs, which can differ from the exact "
+                          "ones within a few ulps of the threshold")
+def test_verdict_is_exact_near_its_thresholds():
+    pairs = [(got, want)
+             for existence, got, want in decisions_near_thresholds(np.random.default_rng(137), 60) if not existence]
+    wrong = sum(got != want for got, want in pairs)
+    assert wrong == 0, f"{wrong} of {len(pairs)} float verdicts are not the exact ones"
 
 
 def test_virus_free_verdict_follows_r_v():

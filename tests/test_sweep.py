@@ -4,7 +4,6 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from retrodyn import (
     Condition4Variant,
@@ -33,7 +32,7 @@ from retrodyn.lyapunov import _WEIGHTS
 from retrodyn.stability import _equilibrium_verdict
 from retrodyn.sweep import _ABSENT, _INNER, _anchored_rectangle
 
-from conftest import _log_uniform, _scaled, counting, refuse_objects, sample_params
+from conftest import _scaled, counting, log_uniform, refuse_objects, sample_params
 from test_acceptance import _family_maps
 
 # Frozen: bisection endpoint for the P2 base at k = 1 and alpha_hi = 5
@@ -161,28 +160,41 @@ def test_unstable_cell_skips_the_weight_grid(p2, p_unstable, monkeypatch):
         evaluate_cell(p2, 0.5, 1.0)  # Stable
 
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    time=_log_uniform(-150.0, 150.0),
-    population=_log_uniform(-150.0, 150.0),
-    alphas=st.lists(_log_uniform(-3.0, 2.0), min_size=1, max_size=4),
-    ks=st.lists(_log_uniform(-2.0, 3.0), min_size=1, max_size=4),
-)
-def test_unstable_equilibrium_has_no_definite_form(seed, time, population, alphas, ks):
+def _unit_cases(rng, count):
+    """(base, time, population, alphas, ks): first each end of the unit
+    ranges with one and with four alphas and ks, then ``count`` draws with
+    one to four of each."""
+    def case(time, population, n_alpha, n_k):
+        return (sample_params(rng), time, population,
+                [log_uniform(rng, 1e-3, 1e2) for _ in range(n_alpha)],
+                [log_uniform(rng, 1e-2, 1e3) for _ in range(n_k)])
+
+    ends = (1e-150, 1e150)
+    for time in ends:
+        for population in ends:
+            for n in (1, 4):
+                yield case(time, population, n, n)
+    for _ in range(count):
+        yield case(log_uniform(rng, 1e-150, 1e150), log_uniform(rng, 1e-150, 1e150), *rng.integers(1, 5, 2))
+
+
+def test_unstable_equilibrium_has_no_definite_form():
     # At the equilibrium Omega = -sym(P*J) with P = diag(D/V^^2, B/I^^2,
     # A/C^^2) positive, so a definite Omega makes J Hurwitz (Lyapunov's
     # theorem); the sweep relies on it, in floats, to skip the weight
     # grid at Unstable cells.  Rates scale with the time unit and b_ij
     # and alpha with the population unit.
-    base = sample_params(np.random.default_rng(seed))
-    for alpha in alphas:
-        for k in ks:
-            p = _scaled(base.replace(alpha=alpha, k=k), time, ("a", "a_I", "m", "sigma", "alpha"))
-            p = _scaled(p, population, ("b11", "b12", "b21", "b22", "alpha"))
-            eq = inner_equilibrium(p)
-            if eq is not None and _equilibrium_verdict(p, p.alpha, p.k, *_inner_point(p, p.alpha, p.k)) is Verdict.UNSTABLE:
-                assert search_coeffs(p, eq) is None, p
+    checked = 0
+    for index, (base, time, population, alphas, ks) in enumerate(_unit_cases(np.random.default_rng(131), 1000)):
+        for alpha in alphas:
+            for k in ks:
+                p = _scaled(base.replace(alpha=alpha, k=k), time, ("a", "a_I", "m", "sigma", "alpha"))
+                p = _scaled(p, population, ("b11", "b12", "b21", "b22", "alpha"))
+                eq = inner_equilibrium(p)
+                if eq is not None and _equilibrium_verdict(p, p.alpha, p.k, *_inner_point(p, p.alpha, p.k)) is Verdict.UNSTABLE:
+                    checked += 1
+                    assert search_coeffs(p, eq) is None, (index, p)
+    assert checked >= 225, checked
 
 
 def test_single_cell_map(p2):

@@ -28,6 +28,7 @@ from retrodyn import (
     inner_equilibrium,
     integrate,
     routh_hurwitz_cubic,
+    search_coeffs,
     w_dot,
     w_value,
 )
@@ -83,8 +84,8 @@ def test_kernels_scale_exactly():
         base, det, new, new_det = solved[:3], solved[3], new_solved[:3], new_solved[3]
         _assert_scaled(new, base, (P, P, Q))
 
-        cubic = _cubic_coeffs(*_jacobian_entries(p, p.alpha, p.k, *base))
-        new_cubic = _cubic_coeffs(*_jacobian_entries(q, q.alpha, q.k, *new))
+        cubic = _cubic_coeffs(*_jacobian_entries(p, *base))
+        new_cubic = _cubic_coeffs(*_jacobian_entries(q, *new))
         _assert_scaled(new_cubic, cubic, (1 / T, T ** -2, T ** -3))
         margins = routh_hurwitz_cubic(CubicCoeffs(*cubic)).margins
         new_margins = routh_hurwitz_cubic(CubicCoeffs(*new_cubic)).margins
@@ -179,6 +180,19 @@ def test_verdict_is_unit_free():
         base, new = _inner_point(p, p.alpha, p.k), _inner_point(q, q.alpha, q.k)
         if base is not None and new is not None:
             assert _equilibrium_verdict(q, q.alpha, q.k, *new) is _equilibrium_verdict(p, p.alpha, p.k, *base), units
+
+
+def test_underflowing_products_at_the_chronic_state(p2):
+    # Virus in a unit Q = 2**-540 puts V^ near 1.07e-163, so V^*V^ and
+    # the other products that divide Omega's entries underflow to 0;
+    # _over_product then divides one factor at a time.  Existence, the
+    # verdict and corrected condition 4 stay the unscaled cell's.
+    q = _rescaled(p2, 1.0, 1.0, 2.0 ** -540)
+    assert inner_equilibrium(q).point.V < 1e-162
+    search_coeffs(q, inner_equilibrium(q))
+    new, cell = evaluate_cell(q, q.alpha, q.k), evaluate_cell(p2, p2.alpha, p2.k)
+    for column in ("inner_exists", "rh_verdict", "cond4_corrected"):
+        assert getattr(new, column) == getattr(cell, column), column
 
 
 @pytest.mark.parametrize("variant", list(Condition4Variant))

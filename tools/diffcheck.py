@@ -18,7 +18,9 @@ interpreter.  Both workers run:
 - ``inner_equilibrium``, ``classify_equilibrium``, ``condition4`` (both
   variants), ``search_coeffs``, ``evaluate_cell`` and
   ``find_alpha_margin`` on 2,000 seeded parameter draws, every second one
-  rescaled to a time unit and a population unit 2**e away (|e| <= 40).
+  rescaled to a time unit and a population unit 2**e away (|e| <= 40);
+  ``classify_equilibrium`` runs at each of ``all_equilibria``, the
+  boundary states as well as the inner one.
   Results are compared with every float by ``float.hex``, which writes
   any NaN as ``nan``, so two NaNs count as equal;
 - ``stability_map(...).write_csv`` on 100 seeded 24x24 maps shaped like
@@ -165,11 +167,13 @@ def _function_outputs(retrodyn) -> dict:
         p = retrodyn.ModelParams(**fields)
         eq = retrodyn.inner_equilibrium(p)
         out["inner_equilibrium"].append(canon(eq))
+        out["classify_equilibrium"].append([
+            _call(retrodyn.classify_equilibrium, p, each) for each in retrodyn.all_equilibria(p)
+        ])
         if eq is None:
-            for name in ("classify_equilibrium", "condition4", "search_coeffs"):
+            for name in ("condition4", "search_coeffs"):
                 out[name].append("no inner equilibrium")
         else:
-            out["classify_equilibrium"].append(_call(retrodyn.classify_equilibrium, p, eq))
             out["condition4"].append([
                 _call(retrodyn.condition4, p, eq, variant) for variant in retrodyn.Condition4Variant
             ])
