@@ -233,13 +233,13 @@ def lyapunov_trace(
     np.log differs from it in the last bit on some arguments and hosts.
 
     ``eq`` and ``s0`` are checked before integrating: ParameterError if
-    ``eq`` is not the inner equilibrium or ``s0`` fails the check of
-    :func:`integrate`, DomainError if a population of ``s0`` is 0 or a
-    recorded state leaves the open octant (W is undefined there).
+    ``eq`` is not the inner equilibrium of ``params`` or ``s0`` fails the
+    check of :func:`integrate`, DomainError if a population of ``s0`` is 0
+    or a recorded state leaves the open octant (W is undefined there).
     """
     import numpy as np
 
-    _require_inner(eq)
+    _require_inner(eq, params)
     s0 = _check_initial(s0)
     _require_positive(s0)
     traj = integrate(params, s0, opts)

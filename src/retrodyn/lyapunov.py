@@ -34,6 +34,10 @@ the same enumeration of the definite grid points.  Omega's entries, its
 minors and condition 4's sides hold no float literal, so the same
 kernels are exact on ``Fraction`` inputs.  numpy is imported only where
 an array is built: ``OmegaForm.as_matrix``, and ``volterra`` on an array.
+
+Each function that takes the parameters and an equilibrium raises
+ParameterError unless the equilibrium is their own inner one, point for
+point in floats.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from .equilibria import Equilibrium, EquilibriumKind, _over_product
+from .equilibria import Equilibrium, EquilibriumKind, _over_product, _own_inner_point
 from .errors import DomainError, ParameterError, _checked_float
 from .model import ModelParams, State, _rhs
 
@@ -181,9 +185,13 @@ def volterra(s: float) -> float:
     return s - log - 1.0
 
 
-def _require_inner(eq: Equilibrium):
+def _require_inner(eq: Equilibrium, params: Optional[ModelParams] = None):
+    # ParameterError unless eq is an inner equilibrium, and, when params
+    # is given, params' own (equilibria._own_inner_point).
     if eq.kind is not EquilibriumKind.INNER:
         raise ParameterError(f"expected the inner equilibrium, got kind {eq.kind.value!r}")
+    if params is not None:
+        _own_inner_point(params, eq)
 
 
 def _require_positive(s: State):
@@ -219,7 +227,7 @@ def w_value(coeffs: LyapunovCoeffs, eq: Equilibrium, s: State) -> float:
 
 def w_dot(params: ModelParams, coeffs: LyapunovCoeffs, eq: Equilibrium, s: State) -> float:
     """Derivative of W along the flow, evaluated directly at state ``s``."""
-    _require_inner(eq)
+    _require_inner(eq, params)
     _require_positive(s)
     return _w_dot(params, coeffs, eq.point, s.C, s.I, s.V)
 
@@ -253,7 +261,7 @@ def _minors(w11, w22, w33, w12, w13, w23):
 
 def omega_at(params: ModelParams, coeffs: LyapunovCoeffs, eq: Equilibrium, s: State) -> OmegaForm:
     """Coefficient matrix of the quadratic form -dW/dt at state ``s``."""
-    _require_inner(eq)
+    _require_inner(eq, params)
     _require_positive(s)
     entries = _omega_entries(
         params, params.alpha, params.k, coeffs.A, coeffs.B, coeffs.D,
@@ -276,7 +284,7 @@ def condition4(
     sufficient for a definite Omega: where both brackets are negative
     their product is positive, and it can hold at an unstable equilibrium.
     """
-    _require_inner(eq)
+    _require_inner(eq, params)
     if not isinstance(variant, Condition4Variant):
         raise ParameterError(f"unknown condition variant {variant!r}")
     pt = eq.point
@@ -312,9 +320,9 @@ def search_coeffs(params: ModelParams, eq: Equilibrium) -> Optional[Tuple[Lyapun
     when no pair makes Omega definite.  The form returned holds the
     winner's entries as the search evaluated them.
     """
-    # The point is not checked: an inner point may hold an overflowed
-    # (inf) coordinate, which only leaves Omega indefinite.
-    _require_inner(eq)
+    # params' own inner point may hold an overflowed (inf) coordinate,
+    # which only leaves Omega indefinite.
+    _require_inner(eq, params)
     hits = _definite_points(params, params.alpha, params.k, (eq.point.C, eq.point.I, eq.point.V))
     best = max(hits, key=lambda hit: (min(hit[3]), -hit[0], -hit[1]), default=None)
     if best is None:

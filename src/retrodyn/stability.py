@@ -5,17 +5,20 @@ the open left half-plane iff
 
     p > 0,   r > 0,   p*q - r > 0.
 
-The three left-hand sides are reported as margins.  For a caller's
-cubic and at a boundary equilibrium a margin inside [-MARGINAL_TOL,
-MARGINAL_TOL] makes the verdict Marginal, and so does a NaN margin when
-no other margin is clearly negative.  At the inner equilibrium the
-Jacobian with the equilibrium relations substituted in has p > 0 and
-r = a*sigma*C^*I^*det, det the reduced system's as the solve in
-``equilibria._inner_point`` returns it: det < 0 is a saddle, and
-otherwise the sign of the Hopf margin h = p*q - r decides (Marginal
-only when h is 0 or NaN).  These are float signs, with no band.  Every
-cubic and margin reported comes from the kernels ``_jacobian_entries``
-and ``_cubic_coeffs``: the bits of ``char_cubic(jacobian(...))``.
+Every verdict is the signs of its margins, by one rule: any margin < 0
+is Unstable; else every margin > 0 is Stable; else (a margin is 0 or
+NaN) Marginal.  These are float signs with no band: a change of units
+by powers of two scales each margin exactly (while nothing leaves the
+normal range) and so moves no verdict.  ``routh_hurwitz_cubic`` applies
+the rule to (p, r, p*q - r), for a caller's cubic and at a boundary
+equilibrium.  At the inner equilibrium the Jacobian with the
+equilibrium relations substituted in has p > 0 and
+r = a*sigma*C^*I^*det, with det the reduced system's as the solve in
+``equilibria._inner_point`` returns it, never 0 there.  So the rule
+applies to (det, h): det < 0 is a saddle, and otherwise the sign of the
+Hopf margin h = p*q - r decides.  Every cubic and margin reported comes
+from the kernels ``_jacobian_entries`` and ``_cubic_coeffs``: the bits
+of ``char_cubic(jacobian(...))``.
 """
 
 from __future__ import annotations
@@ -23,11 +26,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .equilibria import Equilibrium, EquilibriumKind, _inner_point
-from .errors import ParameterError
+from .equilibria import Equilibrium, EquilibriumKind, _own_inner_point
 from .model import CubicCoeffs, ModelParams, _cubic_coeffs, _jacobian_entries
-
-MARGINAL_TOL = 1e-12
 
 
 class Verdict(enum.Enum):
@@ -54,14 +54,14 @@ class StabilityReport:
 
 
 def routh_hurwitz_cubic(cubic: CubicCoeffs) -> StabilityReport:
-    """Classify a monic cubic by the sign pattern of its Hurwitz margins.
-    A NaN margin fails both comparisons, so it leaves the verdict
-    Marginal unless another margin is below -MARGINAL_TOL."""
+    """Classify a monic cubic by the signs of its Hurwitz margins, by
+    the module docstring's rule.  A NaN margin fails both comparisons,
+    so it leaves the verdict Marginal unless another margin is < 0."""
     margins = (cubic.p, cubic.r, cubic.p * cubic.q - cubic.r)
     m0, m1, m2 = margins
-    if m0 < -MARGINAL_TOL or m1 < -MARGINAL_TOL or m2 < -MARGINAL_TOL:
+    if m0 < 0 or m1 < 0 or m2 < 0:
         verdict = _UNSTABLE
-    elif m0 > MARGINAL_TOL and m1 > MARGINAL_TOL and m2 > MARGINAL_TOL:
+    elif m0 > 0 and m1 > 0 and m2 > 0:
         verdict = _STABLE
     else:
         verdict = _MARGINAL
@@ -73,17 +73,15 @@ def classify_equilibrium(params: ModelParams, eq: Equilibrium) -> StabilityRepor
 
     An INNER ``eq`` must be the inner equilibrium of ``params``, point for
     point in floats; otherwise ParameterError is raised.  Its verdict is
-    the module docstring's two signs, so within rounding of zero a
-    printed margin can disagree with it.
+    the module docstring's rule on (det, h), so within rounding of zero
+    a printed margin can disagree with it.
     """
     s = eq.point  # may hold numpy scalars (a trajectory's row); the report holds floats
     C, I, V = float(s.C), float(s.I), float(s.V)
     report = routh_hurwitz_cubic(CubicCoeffs(*_cubic_coeffs(*_jacobian_entries(params, C, I, V))))
     if eq.kind is not EquilibriumKind.INNER:
         return report
-    solved = _inner_point(params, params.alpha, params.k)
-    if solved is None or solved[:3] != (C, I, V):
-        raise ParameterError(f"eq is not the inner equilibrium of params, got {eq.point}")
+    solved = _own_inner_point(params, eq)
     return StabilityReport(report.cubic, _equilibrium_verdict(params, params.alpha, params.k, *solved), report.margins)
 
 

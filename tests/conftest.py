@@ -59,9 +59,23 @@ def log_uniform(rng, lo, hi):
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 
-def _scaled(p, factor, names):
-    """p with each parameter in ``names`` multiplied by ``factor``."""
-    return p.replace(**{name: getattr(p, name) * factor for name in names})
+def log_axis(lo, hi, n):
+    """n values from lo to hi evenly spaced in log, through math as in
+    log_uniform (np.logspace's bits depend on the host)."""
+    step = (math.log(hi) - math.log(lo)) / (n - 1)
+    return [math.exp(math.log(lo) + i * step) for i in range(n)]
+
+
+def units_scaled(p, time=1.0, population=1.0):
+    """p with the rates a, a_I, m and sigma multiplied by ``time``, b11,
+    b12, b21 and b22 by ``population``, and alpha by ``time`` and then
+    by ``population``: the same model with time in a unit 1/time as long
+    and cells and virus in a unit 1/population as large."""
+    return p.replace(
+        a=p.a * time, a_I=p.a_I * time, m=p.m * time, sigma=p.sigma * time,
+        b11=p.b11 * population, b12=p.b12 * population, b21=p.b21 * population, b22=p.b22 * population,
+        alpha=p.alpha * time * population,
+    )
 
 
 def sample_params(rng):
@@ -127,8 +141,7 @@ def decisions_near_thresholds(rng, bases):
     log alpha grid over [1e-3, 1e2] and located by float bisection, for
     ``bases`` sample_params draws with one k each.  The exact decision
     runs the same kernels on Fractions of the same floats."""
-    step = (math.log(1e2) - math.log(1e-3)) / 400
-    grid = [math.exp(math.log(1e-3) + i * step) for i in range(401)]
+    grid = log_axis(1e-3, 1e2, 401)
     out = []
     for _ in range(bases):
         p, k = sample_params(rng), log_uniform(rng, 1e-2, 1e3)

@@ -463,7 +463,10 @@ def test_equilibria_and_sweep_never_import_numpy(tmp_path):
     # may load it.  PU's grid has cells without an inner point,
     # stable-definite cells and unstable ones.  P2 with every rate x 1e103
     # is out of the weight search's closed forms' range, where the whole
-    # weight grid is enumerated.
+    # weight grid is enumerated.  The sweep's evaluate_cell and
+    # find_alpha_margin, called directly, and classify_equilibrium at
+    # every equilibrium of P2 (a boundary state's through
+    # routh_hurwitz_cubic) compute on floats as well.
     sweep = {"alpha_values": [0.001, 0.01, 2.0], "k_values": [1.0, 30.0]}
     pu = write_config(tmp_path, {"params": PU, "sweep": sweep}, "pu.json")
     far = dict(P2, **{name: 1e103 * P2[name] for name in ("a", "a_I", "m", "sigma", "alpha")})
@@ -473,18 +476,24 @@ def test_equilibria_and_sweep_never_import_numpy(tmp_path):
             (far, "sweep", 0), (far, "stability", 1)]
     script = (
         "import contextlib, io, json, sys\n"
-        "import retrodyn.cli\n"
+        "import retrodyn.cli, retrodyn.sweep\n"
         "loaded = ['numpy' in sys.modules]\n"
         "for cfg, command, code in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert retrodyn.cli.main(['--config', cfg, command]) == code, (cfg, command)\n"
         "    loaded.append('numpy' in sys.modules)\n"
+        "base = retrodyn.ModelParams(**json.loads(sys.argv[2]))\n"
+        "assert retrodyn.sweep.evaluate_cell(base, 0.5, 1.0).inner_exists\n"
+        "assert retrodyn.sweep.find_alpha_margin(base, 1.0, 10.0) is not None\n"
+        "for eq in retrodyn.all_equilibria(base):\n"
+        "    retrodyn.classify_equilibrium(base, eq)\n"
+        "loaded.append('numpy' in sys.modules)\n"
         "print(loaded)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs), json.dumps(P2)], capture_output=True,
                           text=True, env=_module_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "%r\n" % ([False] * (1 + len(runs)),)
+    assert proc.stdout == "%r\n" % ([False] * (2 + len(runs)),)
 
 
 def test_closed_stdout_exits_141(tmp_path):

@@ -36,7 +36,9 @@ from retrodyn.lyapunov import (
 )
 from retrodyn.model import PARAM_NAMES, _cubic_coeffs, _jacobian_entries
 
-from conftest import _scaled, counting, eq_point, refuse_objects, sample_params, sample_params_mild, state_near
+from conftest import (
+    counting, eq_point, log_uniform, refuse_objects, sample_params, sample_params_mild, state_near, units_scaled,
+)
 
 ONES = LyapunovCoeffs(1.0, 1.0, 1.0)
 
@@ -347,15 +349,10 @@ def test_search_p2_frozen(p2):
         assert g == pytest.approx(want, rel=1e-12)
 
 
-def _rates_times(p, factor):
-    # the same model in a time unit 1/factor as long
-    return p.replace(**{name: factor * getattr(p, name) for name in ("a", "a_I", "m", "sigma", "alpha")})
-
-
 def test_search_skips_overflowed_weights(p2):
     # P2 with every rate x 1e101: part of the weight grid overflows to
     # NaN minors, yet definite grid points remain
-    p = _rates_times(p2, 1e101)
+    p = units_scaled(p2, 1e101)
     hit = search_coeffs(p, inner_equilibrium(p))
     assert hit is not None
     coeffs, form = hit
@@ -411,7 +408,7 @@ def test_grid_has_definite_matches_search(p1, p2, p_unstable, monkeypatch):
     # sweep, on draws that take each branch: Korobeinikov's point is
     # definite (one evaluation of Omega), the enumeration finds another
     # point, or there is none
-    cases = [p1, p2, p_unstable] + [_rates_times(p2, s) for s in (1e-5, 1e50, 1e101, 1e103)]
+    cases = [p1, p2, p_unstable] + [units_scaled(p2, s) for s in (1e-5, 1e50, 1e101, 1e103)]
     rng = np.random.default_rng(71)
     for sampler in (sample_params, sample_params_mild):
         cases += [sampler(rng) for _ in range(2000)]
@@ -435,8 +432,8 @@ def test_grid_has_definite_skips_the_grid_search(p1, p2, p_unstable, monkeypatch
     # out of it every point is, up to the first definite one.  Neither
     # path builds a parameter set, an equilibrium, a state, weights or a
     # form, and both give the answer of search_coeffs.
-    far = [_rates_times(p2, 1e101), _rates_times(p2, 1e103), _rates_times(p_unstable, 1e103)]
-    cases = [p1, p2, p_unstable, _rates_times(p2, 1e-5), _rates_times(p2, 1e20)] + far
+    far = [units_scaled(p2, 1e101), units_scaled(p2, 1e103), units_scaled(p_unstable, 1e103)]
+    cases = [p1, p2, p_unstable, units_scaled(p2, 1e-5), units_scaled(p2, 1e20)] + far
     cases = [(p, inner_equilibrium(p)) for p in cases]
     want = [search_coeffs(p, eq) is not None for p, eq in cases]
     evaluated = counting(monkeypatch, retrodyn.lyapunov, "_minors")
@@ -526,11 +523,10 @@ def test_search_matches_numpy_grid_argmax(p1, p2, p_unstable):
     rng = np.random.default_rng(113)
     cases = [sampler(rng) for sampler in (sample_params, sample_params_mild) for _ in range(1000)]
     for _ in range(300):
-        # time and population units 10^U(-150, 150) away from the draw's
-        time, population = 10.0 ** rng.uniform(-150.0, 150.0, 2)
-        p = _scaled(sample_params(rng), time, ("a", "a_I", "m", "sigma", "alpha"))
-        cases.append(_scaled(p, population, ("b11", "b12", "b21", "b22", "alpha")))
-    cases += [_rates_times(p, s) for p in (p2, p_unstable) for s in (1e-5, 1e20, 1e50, 1e101, 1e103)]
+        # time and population units log-uniform on [1e-150, 1e150] away
+        time, population = log_uniform(rng, 1e-150, 1e150), log_uniform(rng, 1e-150, 1e150)
+        cases.append(units_scaled(sample_params(rng), time, population))
+    cases += [units_scaled(p, s) for p in (p2, p_unstable) for s in (1e-5, 1e20, 1e50, 1e101, 1e103)]
     cases.append(p1.replace(k=1e300, sigma=1e-10))  # an overflowed inner point
     found = []
     for p in cases:
@@ -592,7 +588,7 @@ def test_search_reports_the_form_it_ranked(p1, p2, monkeypatch):
     # enumeration: Omega is evaluated no more often than exhausting
     # _definite_points does.
     calls = counting(monkeypatch, retrodyn.lyapunov, "_omega_entries")
-    for p in (p1, p2, _rates_times(p2, 1e101)):
+    for p in (p1, p2, units_scaled(p2, 1e101)):
         eq = inner_equilibrium(p)
         hits = list(_definite_points(p, p.alpha, p.k, eq_point(eq)))
         enumerated = len(calls)

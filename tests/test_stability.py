@@ -10,6 +10,8 @@ from retrodyn import (
     CubicCoeffs,
     Equilibrium,
     EquilibriumKind,
+    IntegrationOptions,
+    LyapunovCoeffs,
     ParameterError,
     State,
     Verdict,
@@ -17,16 +19,23 @@ from retrodyn import (
     boundary_equilibria,
     char_cubic,
     classify_equilibrium,
+    condition4,
     inner_equilibrium,
     jacobian,
+    lyapunov_trace,
+    omega_at,
     routh_hurwitz_cubic,
+    search_coeffs,
+    w_dot,
 )
 from retrodyn.equilibria import _inner_point
 from retrodyn.lyapunov import _condition4_sides, _minors, _omega_entries
 from retrodyn.model import PARAM_NAMES, _cubic_coeffs, _jacobian_entries
 from retrodyn.stability import _equilibrium_verdict, _reduced_cubic
 
-from conftest import _scaled, decisions_near_thresholds, eq_point, sample_params, sample_params_broad
+from conftest import (
+    decisions_near_thresholds, eq_point, log_uniform, sample_params, sample_params_broad, units_scaled,
+)
 
 # Frozen on first computation for the P2 inner equilibrium.
 P2_CUBIC = (3.4504337050805454, 3.5274741304785113, 1.1332094175960348)
@@ -61,7 +70,7 @@ def test_rh_nan_margin_is_not_stable(p2):
     assert routh_hurwitz_cubic(CubicCoeffs(nan, 1.0, -1.0)).verdict is Verdict.UNSTABLE
     # P2 with every rate x 1e103: the cubic overflows and p*q - r is NaN,
     # without a warning (warnings fail the suite)
-    p = p2.replace(**{name: 1e103 * getattr(p2, name) for name in ("a", "a_I", "m", "sigma", "alpha")})
+    p = units_scaled(p2, 1e103)
     rep = classify_equilibrium(p, inner_equilibrium(p))
     assert np.isnan(rep.margins[2])
     assert rep.verdict is Verdict.MARGINAL
@@ -80,33 +89,23 @@ def test_rh_rule_consistency():
         rep = routh_hurwitz_cubic(c)
         lo = min(rep.margins)
         if rep.verdict is Verdict.STABLE:
-            assert lo > 1e-12
+            assert lo > 0
         elif rep.verdict is Verdict.UNSTABLE:
-            assert lo < -1e-12
+            assert lo < 0
         else:
-            assert lo >= -1e-12 and any(m <= 1e-12 for m in rep.margins)
+            assert lo >= 0 and any(m <= 0 for m in rep.margins)
 
 
-def test_rh_against_root_oracle():
-    # cross-check the sign test against numpy's root finder
-    rng = np.random.default_rng(41)
-    for _ in range(500):
-        c = CubicCoeffs(*rng.uniform(-3.0, 6.0, size=3))
-        rep = routh_hurwitz_cubic(c)
-        if min(abs(m) for m in rep.margins) <= 1e-10:
-            continue  # too close to the marginal surface for a sign call
-        roots = np.roots([1.0, c.p, c.q, c.r])
-        peak = np.max(roots.real)
-        if rep.verdict is Verdict.STABLE:
-            assert peak < 0.0
-        elif rep.verdict is Verdict.UNSTABLE:
-            assert peak > 0.0
-
-
-def test_marginal_band():
+def test_marginal_only_at_a_zero_margin():
+    # p*q - r is exactly 0 in these three cubics
     for eps in (0.0, 5e-13, -5e-13):
         rep = routh_hurwitz_cubic(CubicCoeffs(1.0 + eps, 1.0, 1.0 + eps))
         assert rep.verdict is Verdict.MARGINAL
+    # margins near 0 decide by their signs: no band around 0
+    for cubic, verdict in (((1.0, 1.0, 1.0 - 5e-13), Verdict.STABLE),
+                           ((1.0, 1.0, 1.0 + 5e-13), Verdict.UNSTABLE),
+                           ((1e-13, 1.0, 1e-14), Verdict.STABLE)):
+        assert routh_hurwitz_cubic(CubicCoeffs(*cubic)).verdict is verdict, cubic
 
 
 def test_classify_p1(p1):
@@ -129,11 +128,23 @@ def test_classify_p2_frozen(p2):
 
 
 def test_classify_rejects_an_inner_equilibrium_of_other_params(p1, p2, p3):
-    # P3 has no inner equilibrium, and P1's differs from P2's.
+    # P3 has no inner equilibrium, and P1's differs from P2's.  Every
+    # function that takes params and an inner equilibrium checks it.
     eq = inner_equilibrium(p2)
-    for params in (p3, p1):
-        with pytest.raises(ParameterError, match="not the inner equilibrium of params"):
-            classify_equilibrium(params, eq)
+    ones, s = LyapunovCoeffs(1.0, 1.0, 1.0), State(1.0, 1.0, 1.0)
+    calls = [
+        lambda params: classify_equilibrium(params, eq),
+        lambda params: condition4(params, eq),
+        lambda params: search_coeffs(params, eq),
+        lambda params: omega_at(params, ones, eq, s),
+        lambda params: w_dot(params, ones, eq, s),
+        lambda params: lyapunov_trace(params, ones, eq, s, IntegrationOptions(t_end=1.0, dt=0.5)),
+    ]
+    for call in calls:
+        call(p2)
+        for params in (p3, p1):
+            with pytest.raises(ParameterError, match="not the inner equilibrium of params"):
+                call(params)
 
 
 def test_classify_unstable_exemplar(p_unstable):
@@ -155,17 +166,17 @@ def test_extinction_is_unstable():
 def test_classify_matches_direct_pipeline(p2):
     # classify_equilibrium's float path against the matrix path it
     # replaced, bit for bit: P2, sample_params draws, and the same draws
-    # with rates and populations rescaled by 10^U(-150, 150), at the inner
-    # and the boundary equilibria.  The cubic and margins are the matrix
-    # path's; so is a boundary state's verdict, while an inner one's is
-    # the sweep's (det and the Hopf margin, with no band).
+    # with rates and populations rescaled by factors log-uniform on
+    # [1e-150, 1e150], at the inner and the boundary equilibria.  The
+    # cubic and margins are the matrix path's; so is a boundary state's
+    # verdict, while an inner one's is the sweep's (det and the Hopf
+    # margin).
     rng = np.random.default_rng(103)
     cases = [p2]
     for _ in range(400):
         p = sample_params(rng)
-        time, population = 10.0 ** rng.uniform(-150.0, 150.0, 2)
-        scaled = _scaled(p, time, ("a", "a_I", "m", "sigma", "alpha"))
-        cases += [p, _scaled(scaled, population, ("b11", "b12", "b21", "b22", "alpha"))]
+        time, population = log_uniform(rng, 1e-150, 1e150), log_uniform(rng, 1e-150, 1e150)
+        cases += [p, units_scaled(p, time, population)]
     verdicts, nan_margins = set(), 0
     for p in cases:
         for eq in all_equilibria(p):
@@ -245,8 +256,8 @@ def test_verdict_is_exact_near_its_thresholds():
 def test_virus_free_verdict_follows_r_v():
     # The virus-free state (1/b11, 0, 0) is Stable exactly when the
     # virus cannot invade it: R_V < 1, R_V = a_I*(1 - b21/b11)/m +
-    # k*alpha/(b11*sigma).  Draws within 1e-9 of R_V = 1, where the
-    # margin band decides, are skipped.
+    # k*alpha/(b11*sigma).  Draws within 1e-9 of R_V = 1, where rounding
+    # can decide, are skipped.
     rng = np.random.default_rng(113)
     stable = skipped = 0
     for _ in range(5000):

@@ -32,17 +32,13 @@ from retrodyn.lyapunov import _WEIGHTS
 from retrodyn.stability import _equilibrium_verdict
 from retrodyn.sweep import _ABSENT, _INNER, _anchored_rectangle
 
-from conftest import _scaled, counting, log_uniform, refuse_objects, sample_params
+from conftest import counting, log_axis, log_uniform, refuse_objects, sample_params, units_scaled
 from test_acceptance import _family_maps
 
 # Frozen: bisection endpoint for the P2 base at k = 1 and alpha_hi = 5
 # (the analytic loss-of-stability point is 37/15, resolved here to the
 # 5e-6 stop from the lower end 5e-7).
 P2_ALPHA_MARGIN_AT_K1 = 2.466664567603588
-
-
-def log_axis(lo, hi, n):
-    return [float(v) for v in np.logspace(np.log10(lo), np.log10(hi), n)]
 
 
 def test_grid_validation(p2):
@@ -114,9 +110,6 @@ def test_evaluate_cell_checks_inputs_as_replace_does(p2, alpha, k):
 
 
 _P2 = dict(a=1, a_I=2, b11=1, b12=0.1, b21=0.1, b22=1, alpha=0.5, m=0.5, k=1, sigma=1)
-# P2 with every rate x 1e103: out of the closed forms' range, so a
-# cell's sylvester_pd enumerates the whole weight grid
-_P2_RATES_1E103 = {**_P2, **{name: 1e103 * _P2[name] for name in ("a", "a_I", "m", "sigma", "alpha")}}
 
 
 def test_map_builds_no_params_equilibrium_or_cell(monkeypatch):
@@ -124,8 +117,10 @@ def test_map_builds_no_params_equilibrium_or_cell(monkeypatch):
     # cell: no parameter set, equilibrium, state, weights, form or cell
     # is built, in the closed forms' range (P2), where a cell evaluates a
     # few grid points, or out of it, where the whole weight grid is.
+    # P2 with every rate x 1e103 is out of the closed forms' range, so a
+    # cell's sylvester_pd enumerates the whole weight grid
     grids = [SweepGrid(ModelParams(**_P2), log_axis(0.01, 10.0, 24), log_axis(0.1, 100.0, 24)),
-             SweepGrid(ModelParams(**_P2_RATES_1E103), log_axis(1e101, 1e105, 6), log_axis(0.1, 10.0, 4))]
+             SweepGrid(units_scaled(ModelParams(**_P2), 1e103), log_axis(1e101, 1e105, 6), log_axis(0.1, 10.0, 4))]
     want = [stability_map(grid).cells for grid in grids]
     points = counting(monkeypatch, retrodyn.sweep, "_inner_point")
     evaluated = counting(monkeypatch, retrodyn.lyapunov, "_minors")
@@ -188,8 +183,7 @@ def test_unstable_equilibrium_has_no_definite_form():
     for index, (base, time, population, alphas, ks) in enumerate(_unit_cases(np.random.default_rng(131), 1000)):
         for alpha in alphas:
             for k in ks:
-                p = _scaled(base.replace(alpha=alpha, k=k), time, ("a", "a_I", "m", "sigma", "alpha"))
-                p = _scaled(p, population, ("b11", "b12", "b21", "b22", "alpha"))
+                p = units_scaled(base.replace(alpha=alpha, k=k), time, population)
                 eq = inner_equilibrium(p)
                 if eq is not None and _equilibrium_verdict(p, p.alpha, p.k, *_inner_point(p, p.alpha, p.k)) is Verdict.UNSTABLE:
                     checked += 1
@@ -255,7 +249,7 @@ def _assert_map_matches_cells(grid):
 
 
 def _random_log_axis(rng, n):
-    return np.sort(10.0 ** rng.uniform(-3.0, 2.0, n)).tolist()
+    return sorted(log_uniform(rng, 1e-3, 1e2) for _ in range(n))
 
 
 def test_map_matches_per_cell_calls(p2):
@@ -274,17 +268,16 @@ def test_map_matches_per_cell_calls(p2):
 
 
 def test_map_matches_per_cell_calls_on_rescaled_bases(monkeypatch):
-    # Rates and populations rescaled by 10^U(-150, 150), alpha by both
-    # factors: far from 1 the closed forms leave their safe range, and
-    # _grid_has_definite enumerates the whole weight grid, compared here
-    # cell by cell with the components.
+    # Rates and populations rescaled by factors log-uniform on
+    # [1e-150, 1e150], alpha by both: far from 1 the closed forms leave
+    # their safe range, and _grid_has_definite enumerates the whole
+    # weight grid, compared here cell by cell with the components.
     evaluated = counting(monkeypatch, retrodyn.lyapunov, "_minors")
     whole_grids = 0
     rng = np.random.default_rng(97)
     for _ in range(120):
-        time, population = 10.0 ** rng.uniform(-150.0, 150.0, 2)
-        base = _scaled(sample_params(rng), time, ("a", "a_I", "m", "sigma", "alpha"))
-        base = _scaled(base, population, ("b11", "b12", "b21", "b22", "alpha"))
+        time, population = log_uniform(rng, 1e-150, 1e150), log_uniform(rng, 1e-150, 1e150)
+        base = units_scaled(sample_params(rng), time, population)
         alphas = [alpha * time * population for alpha in _random_log_axis(rng, int(rng.integers(2, 8)))]
         grid = SweepGrid(base=base, alpha_values=alphas,
                          k_values=_random_log_axis(rng, int(rng.integers(2, 8))))
@@ -315,7 +308,7 @@ def test_map_matches_per_cell_calls_on_rescaled_bases(monkeypatch):
               sigma=0.4131232564739269),
          (0.3, 0.6247555316198867, 1.2), (0.5, 0.8987712199209266, 1.8)),
         # P2 with every rate x 1e103: the cubic overflows, p*q - r is NaN
-        (_P2_RATES_1E103, log_axis(1e101, 1e105, 6), log_axis(0.1, 10.0, 4)),
+        (vars(units_scaled(ModelParams(**_P2), 1e103)), log_axis(1e101, 1e105, 6), log_axis(0.1, 10.0, 4)),
     ],
     ids=["cond4-overflow", "underflow", "det-zero", "consistent-singular", "nan-margins"],
 )
@@ -504,7 +497,7 @@ def test_alpha_margin_probes_build_no_object(p2, p_unstable, monkeypatch):
     # ends where one probing through the public functions ends.
     rng = np.random.default_rng(101)
     cases = [(p2, 1.0, 5.0), (p2, 1.0, 2.0), (p_unstable, 30.0, 5.0)]
-    cases += [(sample_params(rng), float(10.0 ** rng.uniform(-2.0, 2.0)), float(10.0 ** rng.uniform(-1.0, 2.0)))
+    cases += [(sample_params(rng), log_uniform(rng, 1e-2, 1e2), log_uniform(rng, 1e-1, 1e2))
               for _ in range(60)]
     want = [_margin_by_components(*case) for case in cases]
     probes = counting(monkeypatch, retrodyn.sweep, "_inner_point")

@@ -24,6 +24,8 @@ from retrodyn import (
     IntegrationOptions,
     LyapunovCoeffs,
     State,
+    boundary_equilibria,
+    classify_equilibrium,
     condition4,
     inner_equilibrium,
     integrate,
@@ -176,10 +178,16 @@ def test_existence_is_unit_free():
 
 
 def test_verdict_is_unit_free():
+    # the inner verdict, and routh_hurwitz_cubic's at every boundary state
+    boundary = 0
     for p, q, units, _ in _draws(71, 400):
         base, new = _inner_point(p, p.alpha, p.k), _inner_point(q, q.alpha, q.k)
         if base is not None and new is not None:
             assert _equilibrium_verdict(q, q.alpha, q.k, *new) is _equilibrium_verdict(p, p.alpha, p.k, *base), units
+        for b, new_b in zip(boundary_equilibria(p), boundary_equilibria(q), strict=True):
+            assert classify_equilibrium(q, new_b).verdict is classify_equilibrium(p, b).verdict, (units, b.kind)
+            boundary += 1
+    assert boundary > 1000
 
 
 def test_underflowing_products_at_the_chronic_state(p2):
