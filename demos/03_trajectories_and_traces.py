@@ -9,6 +9,8 @@ t,C,I,V and, for the trace, t,C,I,V,W,Wdot.
 
 import os
 
+import numpy as np
+
 from retrodyn import (
     IntegrationMode,
     IntegrationOptions,
@@ -56,7 +58,7 @@ def main():
     for idx in range(0, n, max(1, n // 10)):
         w, wd = trace.lyapunov_samples[idx]
         print("  %8.2f %14.6e %14.6e" % (trace.times[idx], w, wd))
-    w = trace.lyapunov_samples[:, 0]
+    w = np.asarray(trace.lyapunov_samples)[:, 0]
     print("monotone non-increasing: %s" % bool((w[1:] <= w[:-1] + 1e-12).all()))
     print("CSV written to %s" % OUT_DIR)
 

@@ -71,7 +71,7 @@ def _inner_point(p: ModelParams, alpha: float, k: float) -> Optional[tuple]:
 def _own_inner_point(params: ModelParams, eq: Equilibrium) -> tuple:
     """_inner_point's (C, I, V, det) for params, which ``eq`` must hold
     point for point in floats; ParameterError otherwise."""
-    s = eq.point  # may hold numpy scalars (a trajectory's row)
+    s = eq.point  # may hold numpy scalars
     solved = _inner_point(params, params.alpha, params.k)
     if solved is None or solved[:3] != (s.C, s.I, s.V):
         raise ParameterError(f"eq is not the inner equilibrium of params, got {eq.point}")

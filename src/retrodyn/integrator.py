@@ -39,15 +39,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Optional
+from typing import IO, Optional
 
 from .equilibria import Equilibrium
 from .errors import DomainError, IntegrationError, ParameterError, _checked_float
 from .lyapunov import LyapunovCoeffs, _require_inner, _require_positive, _w, _w_dot
 from .model import ModelParams, State, _rhs
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Growth/shrink clamps for the adaptive step controller.
 _SAFETY = 0.9
@@ -96,26 +93,26 @@ class IntegrationOptions:
 
 @dataclass
 class Trajectory:
-    """Recorded solution samples; rows of ``states`` are (C, I, V).
+    """Recorded solution samples: a list of times, and a list of
+    (C, I, V) tuples, one per time.
 
-    ``lyapunov_samples`` is an (n, 2) array of (W, Wdot) rows, filled by
-    :func:`lyapunov_trace` only.
+    ``lyapunov_samples`` is a list of (W, Wdot) tuples, one per time,
+    filled by :func:`lyapunov_trace` only.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    lyapunov_samples: Optional[np.ndarray] = None
+    times: list[float]
+    states: list[tuple[float, float, float]]
+    lyapunov_samples: Optional[list[tuple[float, float]]] = None
 
     def final_state(self) -> State:
-        C, I, V = self.states[-1]
-        return State(float(C), float(I), float(V))
+        return State(*self.states[-1])
 
     def write_csv(self, stream: IO[str]):
         """Write samples as CSV with full float precision (%.17g)."""
         traced = self.lyapunov_samples is not None
-        columns = [self.times.tolist(), *self.states.T.tolist()]
+        columns = [self.times, *zip(*self.states)]
         if traced:
-            columns += self.lyapunov_samples.T.tolist()
+            columns += zip(*self.lyapunov_samples)
         row = ",".join(["%.17g"] * len(columns)) + "\n"
         stream.write("t,C,I,V,W,Wdot\n" if traced else "t,C,I,V\n")
         stream.writelines(map(row.__mod__, zip(*columns)))
@@ -160,8 +157,6 @@ def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Traje
         Trajectory with strictly increasing times, t=0 and t=t_end
         included, and every recorded population >= -abs_tol.
     """
-    import numpy as np
-
     s0 = _check_initial(s0)
     t_end = opts.t_end
     dt_min = 1e-12 * t_end or math.ulp(0.0)
@@ -172,7 +167,7 @@ def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Traje
     C, I, V = s0.C, s0.I, s0.V
     t = 0.0
     times = [0.0]
-    flat = [C, I, V]  # accepted states, row after row
+    states = [(C, I, V)]
     max_rows = opts.max_steps + 1
     isfinite = math.isfinite
 
@@ -208,7 +203,7 @@ def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Traje
         C, I, V = nC, nI, nV
         t = t_end if dt_try >= remaining else t + dt_try
         times.append(t)
-        flat += (C, I, V)
+        states.append((C, I, V))
         if len(times) > max_rows:
             raise IntegrationError(f"step budget max_steps={opts.max_steps} exhausted at t={t!r}")
         if adaptive:
@@ -216,7 +211,7 @@ def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Traje
         elif dt_try != nominal:  # fixed mode: keep a retry's step, else double it back
             dt = dt_try if dt_try < dt else min(2.0 * dt, nominal)
 
-    return Trajectory(times=np.array(times), states=np.array(flat).reshape(-1, 3))
+    return Trajectory(times=times, states=states)
 
 
 def lyapunov_trace(
@@ -228,31 +223,21 @@ def lyapunov_trace(
 ) -> Trajectory:
     """Integrate from a strictly positive ``s0`` and sample W and dW/dt.
 
-    W and dW/dt are computed over the whole trajectory at once, with the
-    bits of w_value/w_dot at each row: their logs come from math.log, as
-    np.log differs from it in the last bit on some arguments and hosts.
+    Each recorded row is sampled with the kernels of w_value and w_dot.
 
     ``eq`` and ``s0`` are checked before integrating: ParameterError if
     ``eq`` is not the inner equilibrium of ``params`` or ``s0`` fails the
     check of :func:`integrate`, DomainError if a population of ``s0`` is 0
     or a recorded state leaves the open octant (W is undefined there).
     """
-    import numpy as np
-
     _require_inner(eq, params)
     s0 = _check_initial(s0)
     _require_positive(s0)
     traj = integrate(params, s0, opts)
-    # Rows before the first non-positive one are sampled before it is
-    # reported, so their errors come first.
-    states = traj.states
-    positive = (states > 0.0).all(axis=1)
-    n = len(positive) if positive.all() else int(positive.argmin())
-    C, I, V = states[:n].T
     pt = eq.point
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, silently, as on floats
-        samples = np.column_stack((_w(coeffs, pt, C, I, V), _w_dot(params, coeffs, pt, C, I, V)))
-    if n < len(positive):
-        t, (C, I, V) = traj.times[n].item(), states[n].tolist()
-        raise DomainError(f"trajectory left the open positive octant at t={t!r}: ({C!r}, {I!r}, {V!r})")
-    return Trajectory(times=traj.times, states=states, lyapunov_samples=samples)
+    samples = []
+    for t, (C, I, V) in zip(traj.times, traj.states):
+        if not (C > 0.0 and I > 0.0 and V > 0.0):
+            raise DomainError(f"trajectory left the open positive octant at t={t!r}: ({C!r}, {I!r}, {V!r})")
+        samples.append((_w(coeffs, pt, C, I, V), _w_dot(params, coeffs, pt, C, I, V)))
+    return Trajectory(times=traj.times, states=traj.states, lyapunov_samples=samples)

@@ -33,7 +33,7 @@ floats: ``search_coeffs`` and the sweep's ``_grid_has_definite`` read
 the same enumeration of the definite grid points.  Omega's entries, its
 minors and condition 4's sides hold no float literal, so the same
 kernels are exact on ``Fraction`` inputs.  numpy is imported only where
-an array is built: ``OmegaForm.as_matrix``, and ``volterra`` on an array.
+an array is built, by ``OmegaForm.as_matrix``.
 
 Each function that takes the parameters and an equilibrium raises
 ParameterError unless the equilibrium is their own inner one, point for
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple
@@ -167,22 +166,10 @@ class Condition4Report:
 
 
 def volterra(s: float) -> float:
-    """v(s) = s - ln(s) - 1; nonnegative on (0, inf), zero only at s = 1.
-
-    A float array of any shape is taken element by element, its logs
-    still from math.log (see :func:`retrodyn.integrator.lyapunov_trace`).
-    """
-    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
-    vector = np is not None and isinstance(s, np.ndarray)
-    ok = s > 0.0
-    if not (ok.all() if vector else ok):
-        bad = s.flat[ok.argmin()].item() if vector else s
-        raise DomainError(f"volterra term needs a positive argument, got {bad!r}")
-    if vector:
-        log = np.fromiter(map(math.log, s.ravel().tolist()), float, s.size).reshape(s.shape)
-    else:
-        log = math.log(s)
-    return s - log - 1.0
+    """v(s) = s - ln(s) - 1; nonnegative on (0, inf), zero only at s = 1."""
+    if not s > 0.0:
+        raise DomainError(f"volterra term needs a positive argument, got {s!r}")
+    return s - math.log(s) - 1.0
 
 
 def _require_inner(eq: Equilibrium, params: Optional[ModelParams] = None):
@@ -199,8 +186,8 @@ def _require_positive(s: State):
         raise DomainError(f"state must lie in the open positive octant, got {s!r}")
 
 
-# Unchecked kernels on plain floats (w_value/w_dot) or on whole columns
-# (the integrator's trace); pt is the inner equilibrium's point.
+# Unchecked kernels on plain floats, for w_value/w_dot and each row of
+# the integrator's trace; pt is the inner equilibrium's point.
 def _w(coeffs, pt, C, I, V):
     return (
         coeffs.A * volterra(C / pt.C)

@@ -117,7 +117,7 @@ class CubicCoeffs:
 
 
 def _rhs(p: ModelParams, C: float, I: float, V: float) -> tuple:
-    # Integrator hot path on plain floats; the Lyapunov trace passes whole columns.
+    # Integrator and Lyapunov-trace hot path on plain floats.
     # Float literals, here and in lyapunov._w_dot: x - 1.0 takes ~16 ns, x - 1
     # ~35 ns (CPython 3.11, timeit, one pinned CPU), so neither is exact on Fractions.
     infection = p.alpha * C * V

@@ -76,7 +76,7 @@ def classify_equilibrium(params: ModelParams, eq: Equilibrium) -> StabilityRepor
     the module docstring's rule on (det, h), so within rounding of zero
     a printed margin can disagree with it.
     """
-    s = eq.point  # may hold numpy scalars (a trajectory's row); the report holds floats
+    s = eq.point  # may hold numpy scalars; the report holds floats
     C, I, V = float(s.C), float(s.I), float(s.V)
     report = routh_hurwitz_cubic(CubicCoeffs(*_cubic_coeffs(*_jacobian_entries(params, C, I, V))))
     if eq.kind is not EquilibriumKind.INNER:

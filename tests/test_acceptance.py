@@ -129,8 +129,9 @@ def test_03_gradient_check():
     def worst_fd_error(dt):
         opts = IntegrationOptions(t_end=2.0, dt=dt)
         traj = lyapunov_trace(P2, coeffs, eq, s0, opts)
-        w = traj.lyapunov_samples[:, 0]
-        wd = traj.lyapunov_samples[1:-1, 1]
+        samples = np.asarray(traj.lyapunov_samples)
+        w = samples[:, 0]
+        wd = samples[1:-1, 1]
         fd = (w[2:] - w[:-2]) / (2.0 * dt)
         return abs(fd - wd).max()
 
@@ -183,7 +184,7 @@ def test_04_stable_rectangle_and_decay():
         coeffs = hit[0] if hit is not None else LyapunovCoeffs(1.0, 1.0, 1.0)
         s0 = State(1.01 * eq.point.C, 1.01 * eq.point.I, 1.01 * eq.point.V)
         traj = lyapunov_trace(base, coeffs, eq, s0, IntegrationOptions(t_end=10.0, dt=0.01))
-        w = traj.lyapunov_samples[:, 0]
+        w = np.asarray(traj.lyapunov_samples)[:, 0]
         rise = float(np.diff(w).max())
         ok &= rise <= 1e-9 and w[-1] < w[0]
         details.append(
@@ -242,10 +243,11 @@ def test_06_nonnegativity_and_bound():
         p = sample_params_mild(rng)
         s0 = State(*(float(v) for v in rng.uniform(0.0, 2.0, size=3)))
         traj = integrate(p, s0, opts)
-        worst_min = min(worst_min, float(traj.states.min()))
+        states = np.asarray(traj.states)
+        worst_min = min(worst_min, float(states.min()))
         bmin = min(p.b11, p.b22)
         cap = 10.0 * (max(s0.C, s0.I, s0.V) + 1.0 / bmin + p.k * p.m / (p.sigma * bmin))
-        worst_ratio = max(worst_ratio, float(traj.states.max()) / cap)
+        worst_ratio = max(worst_ratio, float(states.max()) / cap)
     _report(
         6,
         worst_min >= -1e-9 and worst_ratio < 1.0,

@@ -458,10 +458,11 @@ def test_entry_point_wiring(tmp_path):
 
 
 def test_equilibria_and_sweep_never_import_numpy(tmp_path):
-    # numpy is most of a fresh process's start-up, and equilibria, sweep
-    # and stability compute on floats only: neither the import nor a run
-    # may load it.  PU's grid has cells without an inner point,
-    # stable-definite cells and unstable ones.  P2 with every rate x 1e103
+    # numpy is most of a fresh process's start-up, and all five commands
+    # compute on floats only: neither the import nor a run may load it.
+    # PU's grid has cells without an inner point, stable-definite cells
+    # and unstable ones; simulate and lyapunov step P2 in fixed mode and
+    # PU in adaptive mode.  P2 with every rate x 1e103
     # is out of the weight search's closed forms' range, where the whole
     # weight grid is enumerated.  The sweep's evaluate_cell and
     # find_alpha_margin, called directly, and classify_equilibrium at
@@ -472,8 +473,15 @@ def test_equilibria_and_sweep_never_import_numpy(tmp_path):
     far = dict(P2, **{name: 1e103 * P2[name] for name in ("a", "a_I", "m", "sigma", "alpha")})
     far = write_config(tmp_path, {"params": far, "sweep": {"alpha_values": [far["alpha"]],
                                                            "k_values": [far["k"]]}}, "far.json")
+    trace = {"initial_state": {"C": 1.0, "I": 1.0, "V": 1.0}, "lyapunov": {"A": 1.0, "B": 1.0, "D": 1.0}}
+    fixed = write_config(tmp_path, {"params": P2, **trace, "integration": {"t_end": 4.0, "dt": 0.01}},
+                         "fixed.json")
+    adaptive = write_config(tmp_path, {"params": PU, **trace,
+                                       "integration": {"t_end": 4.0, "dt": 0.01, "mode": "adaptive"}},
+                            "adaptive.json")
     runs = [(pu, "equilibria", 0), (pu, "sweep", 0), (pu, "stability", 1),
-            (far, "sweep", 0), (far, "stability", 1)]
+            (far, "sweep", 0), (far, "stability", 1),
+            (fixed, "simulate", 0), (fixed, "lyapunov", 0), (adaptive, "simulate", 0), (adaptive, "lyapunov", 0)]
     script = (
         "import contextlib, io, json, sys\n"
         "import retrodyn.cli, retrodyn.sweep\n"

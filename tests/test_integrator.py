@@ -26,7 +26,7 @@ from retrodyn import (
 import retrodyn.integrator
 from retrodyn.integrator import _check_initial
 
-from conftest import counting, sample_params, sample_params_mild, state_near
+from conftest import counting, sample_params, sample_params_mild, state_near, units_scaled
 
 ONES = LyapunovCoeffs(1.0, 1.0, 1.0)
 
@@ -195,7 +195,8 @@ def test_adaptive_holds_equilibrium(p2):
     # the run must stay within a modest multiple of that scale
     eq = inner_equilibrium(p2)
     traj = integrate(p2, eq.point, adaptive(100.0))
-    drift = abs(traj.states - traj.states[0]).max()
+    states = np.asarray(traj.states)
+    drift = abs(states - states[0]).max()
     assert drift < 100 * 1e-8
 
 
@@ -211,7 +212,7 @@ def test_negativity_rejection_shortens_step():
     opts = fixed(2.5, 5.0)
     traj = integrate(_NEG, State(6.5, 0.0, 0.0), opts)
     assert traj.times[1] < 2.5
-    assert traj.states.min() >= -opts.abs_tol
+    assert np.asarray(traj.states).min() >= -opts.abs_tol
     assert traj.times[-1] == 5.0
 
 
@@ -257,7 +258,8 @@ def test_fixed_mode_resumes_a_shortened_step(monkeypatch):
 def test_frozen_bits(params, s0, opts, rows, sha256):
     traj = integrate(params, State(*s0), opts)
     assert len(traj.times) == rows
-    assert hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest() == sha256
+    bits = np.asarray(traj.times).tobytes() + np.asarray(traj.states).tobytes()
+    assert hashlib.sha256(bits).hexdigest() == sha256
 
 
 # Frozen bits of the W and dW/dt columns of lyapunov_trace, on a fixed
@@ -277,12 +279,12 @@ def test_frozen_bits(params, s0, opts, rows, sha256):
 def test_frozen_trace_bits(params, coeffs, s0, opts, rows, sha256):
     traj = lyapunov_trace(params, coeffs, inner_equilibrium(params), State(*s0), opts)
     assert len(traj.times) == rows
-    assert hashlib.sha256(traj.lyapunov_samples.tobytes()).hexdigest() == sha256
+    assert hashlib.sha256(np.asarray(traj.lyapunov_samples).tobytes()).hexdigest() == sha256
 
 
 def test_zero_state_is_fixed_point(p2):
     traj = integrate(p2, State(0.0, 0.0, 0.0), fixed(0.25, 2.0))
-    assert np.all(traj.states == 0.0)
+    assert np.all(np.asarray(traj.states) == 0.0)
 
 
 def test_step_budget():
@@ -320,9 +322,10 @@ def test_random_runs_stay_nonnegative_and_bounded():
             p = sampler(rng)
             C0, I0, V0 = rng.uniform(0.0, 2.0, size=3).tolist()
             traj = integrate(p, State(C0, I0, V0), opts)
-            assert traj.states.min() >= -opts.abs_tol
+            states = np.asarray(traj.states)
+            assert states.min() >= -opts.abs_tol
             n_bar = max(C0 + I0, 2.0 * max(p.a, p.a_I) / min(p.a * p.b11, p.a_I * p.b22))
-            C, I, V = traj.states.T
+            C, I, V = states.T
             assert (C + I).max() <= n_bar * slack
             assert C.max() <= max(C0, 1.0 / p.b11) * slack
             assert V.max() <= max(V0, p.k * p.m * n_bar / p.sigma) * slack
@@ -368,23 +371,23 @@ def test_trace_csv_header(p2):
     traj.write_csv(buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "t,C,I,V,W,Wdot"
-    assert traj.lyapunov_samples.shape == (len(traj.times), 2)
+    assert np.shape(traj.lyapunov_samples) == (len(traj.times), 2)
     # full precision round-trip of the W column
     w_back = [float(line.split(",")[4]) for line in lines[1:]]
-    assert w_back == list(traj.lyapunov_samples[:, 0])
+    assert w_back == [w for w, _ in traj.lyapunov_samples]
 
 
 def test_trace_at_equilibrium_is_flat(p2):
     eq = inner_equilibrium(p2)
     traj = lyapunov_trace(p2, ONES, eq, eq.point, fixed(0.5, 5.0))
-    assert abs(traj.lyapunov_samples[:, 0]).max() < 1e-12
+    assert abs(np.asarray(traj.lyapunov_samples)[:, 0]).max() < 1e-12
 
 
 def test_trace_decreases_near_equilibrium(p2):
     eq = inner_equilibrium(p2)
     s0 = State(1.01 * eq.point.C, 1.01 * eq.point.I, 1.01 * eq.point.V)
     traj = lyapunov_trace(p2, ONES, eq, s0, fixed(0.01, 10.0))
-    w = traj.lyapunov_samples[:, 0]
+    w = np.asarray(traj.lyapunov_samples)[:, 0]
     assert w[0] > 0.0
     assert np.diff(w).max() <= 1e-12
     assert w[-1] < 0.01 * w[0]
@@ -401,8 +404,9 @@ def test_trace_slope_matches_wdot(p2):
     def worst(dt):
         traj = lyapunov_trace(p2, ONES, eq, s0, fixed(dt, 2.0))
         assert np.array_equal(traj.times, dt * np.arange(len(traj.times)))
-        w = traj.lyapunov_samples[:, 0]
-        wd = traj.lyapunov_samples[1:-1, 1]
+        samples = np.asarray(traj.lyapunov_samples)
+        w = samples[:, 0]
+        wd = samples[1:-1, 1]
         fd = (w[2:] - w[:-2]) / (2.0 * dt)
         return abs(fd - wd).max()
 
@@ -433,22 +437,21 @@ def test_attach_rejects_boundary_states(p2, monkeypatch):
     # the error names the first row that leaves the open octant; integrate
     # is replaced by one that returns a synthetic trajectory
     def trace(params, states):
-        synth = Trajectory(times=np.array([0.0, 1.0, 2.0]), states=np.array(states))
+        synth = Trajectory(times=[0.0, 1.0, 2.0], states=states)
         monkeypatch.setattr(retrodyn.integrator, "integrate", lambda *args: synth)
         return lyapunov_trace(params, ONES, inner_equilibrium(params), State(1.0, 1.0, 1.0), fixed(0.1, 1.0))
 
     with pytest.raises(DomainError, match=r"t=1\.0: \(1\.0, 0\.0, 1\.0\)"):
-        trace(p2, [[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [-1.0, 1.0, 1.0]])
+        trace(p2, [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (-1.0, 1.0, 1.0)])
     # a ratio V/V^ that underflows to 0 in an earlier row is reported first,
-    # as when the rows were sampled one by one (here V^ = 3.75)
+    # as the rows are sampled one by one (here V^ = 3.75)
     q = ModelParams(a=1, a_I=2, b11=0.1, b12=0, b21=0, b22=0.1, alpha=0, m=0.5, k=1, sigma=1)
     with pytest.raises(DomainError, match=r"volterra term needs a positive argument, got 0\.0$"):
-        trace(q, [[1.0, 1.0, 1.0], [1.0, 1.0, 5e-324], [1.0, 0.0, 1.0]])
+        trace(q, [(1.0, 1.0, 1.0), (1.0, 1.0, 5e-324), (1.0, 0.0, 1.0)])
 
 
 def test_trace_matches_scalar_kernels():
-    # W and dW/dt over the whole trajectory carry the bits of w_value and
-    # w_dot at every row: a last-bit difference in a log shows here
+    # every row's W and dW/dt carry the bits of w_value and w_dot there
     rng = np.random.default_rng(79)
     for i in range(24):
         while (eq := inner_equilibrium(p := sample_params_mild(rng))) is None:
@@ -457,14 +460,28 @@ def test_trace_matches_scalar_kernels():
         s0 = state_near(rng, eq.point, 1.5)
         opts = fixed(0.01, 20.0) if i % 2 else adaptive(20.0, rel_tol=1e-10, abs_tol=1e-12)
         traj = lyapunov_trace(p, coeffs, eq, s0, opts)
-        for s, (w, wd) in zip(traj.states.tolist(), traj.lyapunov_samples.tolist()):
+        for s, (w, wd) in zip(traj.states, traj.lyapunov_samples):
             assert (w, wd) == (w_value(coeffs, eq, State(*s)), w_dot(p, coeffs, eq, State(*s)))
 
 
+@pytest.mark.parametrize("rate", [1.0, 1e-3, pytest.param(1e-5, marks=pytest.mark.xfail(
+    strict=True, raises=DomainError,
+    reason="ROADMAP item 13: adaptive RK4 accepts populations down to -abs_tol, where W is undefined"))])
+def test_adaptive_trace_stays_in_the_open_octant(p_unstable, rate):
+    # The exact flow cannot leave the open octant (C' is proportional to
+    # C, I' >= 0 at I = 0 and V' >= 0 at V = 0), so the trace of PU from
+    # (1, 1, 1) must succeed with every rate times `rate`.  At 1e-5 an
+    # accepted step puts I near -2.23e-11, above the -abs_tol floor.
+    q = units_scaled(p_unstable, time=rate)
+    opts = adaptive(40.0 / rate, dt=0.01 / rate)
+    traj = lyapunov_trace(q, ONES, inner_equilibrium(q), State(1.0, 1.0, 1.0), opts)
+    assert len(traj.lyapunov_samples) == len(traj.times)
+
+
 def test_trace_overflow_is_silent():
-    # huge weights overflow every sample to (inf, -inf), as on Python
-    # floats, with no warning (the suite turns warnings into errors)
+    # huge weights overflow every sample to (inf, -inf), with no warning
+    # (the suite turns warnings into errors)
     q = ModelParams(a=1, a_I=0.8, b11=0.3, b12=0.05, b21=0.05, b22=0.3, alpha=0.5, m=1, k=1.2, sigma=0.5)
     huge = LyapunovCoeffs(A=1e308, B=1.0, D=1e308)
     traj = lyapunov_trace(q, huge, inner_equilibrium(q), State(20.0, 0.01, 0.01), fixed(0.25, 1.0))
-    assert traj.lyapunov_samples.tolist() == [[math.inf, -math.inf]] * 5
+    assert traj.lyapunov_samples == [(math.inf, -math.inf)] * 5

@@ -64,21 +64,6 @@ def test_volterra_values():
         volterra(-1.0)
 
 
-def test_volterra_on_arrays_of_any_shape():
-    # element by element with math.log, in the array's own shape
-    for s in (np.array(2.0), np.array([0.5, 1.0, 2.0]), np.array([[0.5, 1.0], [2.0, 3.0]])):
-        got = volterra(s)
-        assert np.shape(got) == s.shape
-        assert np.ravel(got).tolist() == [x - math.log(x) - 1.0 for x in s.ravel().tolist()]
-    # np.float64 is a float and stays on the scalar path
-    assert volterra(np.float64(2.0)) == volterra(2.0)
-    # the first nonpositive entry in row-major order is reported
-    with pytest.raises(DomainError, match=r"got -1\.0$"):
-        volterra(np.array([[1.0, 2.0], [-1.0, 0.0]]))
-    with pytest.raises(DomainError, match=r"got 0\.0$"):
-        volterra(np.array(0.0))
-
-
 def test_coeffs_validation():
     with pytest.raises(ParameterError):
         LyapunovCoeffs(0.0, 1.0, 1.0)

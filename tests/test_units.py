@@ -40,7 +40,7 @@ from retrodyn.model import _cubic_coeffs, _jacobian_entries
 from retrodyn.stability import _equilibrium_verdict, _reduced_cubic
 from retrodyn.sweep import evaluate_cell, find_alpha_margin
 
-from conftest import sample_params, sample_params_mild, state_near
+from conftest import sample_params, sample_params_mild, state_near, units_scaled
 
 EXP = 40
 
@@ -133,8 +133,8 @@ def _trajectory_bits(p, q, units, mode, rng):
     )
     run = integrate(p, s0, opts)
     new_run = integrate(q, State(P * s0.C, P * s0.I, Q * s0.V), new_opts)
-    got = new_run.times.tolist() + new_run.states.ravel().tolist()
-    want = (run.times * T).tolist() + (run.states * [P, P, Q]).ravel().tolist()
+    got = new_run.times + [x for s in new_run.states for x in s]
+    want = [t * T for t in run.times] + [x for C, I, V in run.states for x in (C * P, I * P, V * Q)]
     return _bits(got), _bits(want)
 
 
@@ -201,6 +201,26 @@ def test_underflowing_products_at_the_chronic_state(p2):
     new, cell = evaluate_cell(q, q.alpha, q.k), evaluate_cell(p2, p2.alpha, p2.k)
     for column in ("inner_exists", "rh_verdict", "cond4_corrected"):
         assert getattr(new, column) == getattr(cell, column), column
+
+
+@pytest.mark.parametrize("time, population, virus", [
+    pytest.param(1.0, 2.0 ** 520, 1.0, id="population-2^520"),
+    pytest.param(1.0, 2.0 ** -512, 1.0, id="population-2^-512"),
+    pytest.param(1.0, 1.0, 2.0 ** 540, id="virus-2^540"),
+    pytest.param(1.0, 1.0, 2.0 ** -540, id="virus-2^-540"),
+    pytest.param(2.0 ** -1000, 1.0, 1.0, id="time-2^-1000"),
+])
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 19: a kernel overflows or underflows outside float range")
+def test_decisions_beyond_float_range(p2, time, population, virus):
+    # Far units: existence, the verdict and sylvester_pd equal P2's (a
+    # chronic state, Stable, a definite form) in exact arithmetic, but a
+    # kernel's intermediate overflows or underflows.  A virus unit maps
+    # (alpha, k) to (alpha*Q, k/Q) (test_cell_depends_on_alpha_times_k).
+    q = units_scaled(p2, time, population)
+    cell, want = evaluate_cell(q, q.alpha * virus, q.k / virus), evaluate_cell(p2, p2.alpha, p2.k)
+    for column in ("inner_exists", "rh_verdict", "sylvester_pd"):
+        assert getattr(cell, column) == getattr(want, column), column
 
 
 @pytest.mark.parametrize("variant", list(Condition4Variant))

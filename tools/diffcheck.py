@@ -28,13 +28,25 @@ interpreter.  Both workers run:
   0.02-100 built with ``math`` (so their bits do not depend on numpy's
   SIMD dispatch), the benchmark's base jittered by +-0.3 in log, and
   every second map in a time unit and a population unit 2**e away
-  (|e| <= 40).  The CSV bytes are compared (by sha256).
+  (|e| <= 40).  The CSV bytes are compared (by sha256);
+- CLI ``simulate`` and ``lyapunov`` on 100 seeded trace configs, drawn
+  with ``random`` alone (so their bits do not depend on numpy's SIMD
+  dispatch): half the draws' parameter ranges and half PU jittered by
+  +-0.3 in log, whose orbits pass close to 0; Volterra weights in
+  [1e-2, 1e2]; starts in [1e-3, 10] per population; every second run
+  adaptive; and ``abs_tol`` 1e-9 or 1e-3, which lets a population dip
+  below 0 so that the trace leaves the open octant.  One run in five
+  starts with C = 5e-324, in a population unit 1/8 as large (so C^ is 8
+  times larger), and the ratio C/C^ underflows to 0 where C^ >= 2.
+  Stdout, stderr and the exit code are compared.
 
 The last line printed is the summary: mismatches per command (out of
-the configs), per function (out of the draws) and in the maps (out of
-the maps), each with the count among the unscaled ones (the README
-config and the overflowed one, the even draws, the even maps), so a
-change that only removes a dependence on the units shows "0 unscaled"
+the configs), per function (out of the draws), in the maps (out of
+the maps) and per traced command (out of the trace configs), each with
+the count among the unscaled ones (the README config and the overflowed
+one, the even draws, the even maps, the trace configs in their drawn
+units), so a change
+that only removes a dependence on the units shows "0 unscaled"
 throughout.  Each mismatch is also named on stderr.  The exit code is 0
 when nothing differs and 1 otherwise.  ``--src`` takes the ``src``
 directory of another tree in place of this checkout's working tree.
@@ -71,6 +83,8 @@ PER_POPULATION = ("b11", "b12", "b21", "b22", "alpha")
 RATE_SCALES = (1e-5, 1e20, 1e50, 1e101, 1e103)
 DRAWS = 2000
 MAPS = 100
+TRACES = 100
+TRACED = ("simulate", "lyapunov")
 # bench/workloads.py's maps base; alpha and k are replaced in every cell.
 MAP_BASE = {"a": 1.0, "a_I": 0.8, "b11": 0.3, "b12": 0.05, "b21": 0.05, "b22": 0.3, "m": 1.0, "sigma": 0.5}
 P1 = {"a": 1, "a_I": 2, "b11": 1, "b12": 0, "b21": 0, "b22": 1, "alpha": 0, "m": 1, "k": 1, "sigma": 2}
@@ -135,24 +149,29 @@ def _run_command(main, path: str, command: str) -> list:
     return [hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue(), code]
 
 
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _params(rng) -> dict:
+    """One parameter draw in sample_params' ranges."""
+    b11, b22 = _log_uniform(rng, 0.2, 3.0), _log_uniform(rng, 0.2, 3.0)
+    cross = 0.5 * min(b11, b22)
+    return {
+        "a": _log_uniform(rng, 0.3, 3.0), "a_I": _log_uniform(rng, 0.3, 3.0),
+        "b11": b11, "b12": rng.uniform(0.0, cross), "b21": rng.uniform(0.0, cross), "b22": b22,
+        "alpha": rng.uniform(0.0, 1.0), "m": _log_uniform(rng, 0.2, 2.0),
+        "k": _log_uniform(rng, 0.3, 3.0), "sigma": _log_uniform(rng, 0.3, 3.0),
+    }
+
+
 def _draws():
     """(params, alpha, k, alpha_hi) per draw: sample_params' ranges, with
     every second draw in a time unit and a population unit 2**e away."""
     rng = random.Random(0)
-
-    def log_uniform(lo, hi):
-        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
     for index in range(DRAWS):
-        b11, b22 = log_uniform(0.2, 3.0), log_uniform(0.2, 3.0)
-        cross = 0.5 * min(b11, b22)
-        p = {
-            "a": log_uniform(0.3, 3.0), "a_I": log_uniform(0.3, 3.0),
-            "b11": b11, "b12": rng.uniform(0.0, cross), "b21": rng.uniform(0.0, cross), "b22": b22,
-            "alpha": rng.uniform(0.0, 1.0), "m": log_uniform(0.2, 2.0),
-            "k": log_uniform(0.3, 3.0), "sigma": log_uniform(0.3, 3.0),
-        }
-        alpha, k, alpha_hi = log_uniform(1e-3, 1e2), log_uniform(1e-2, 1e3), 10.0
+        p = _params(rng)
+        alpha, k, alpha_hi = _log_uniform(rng, 1e-3, 1e2), _log_uniform(rng, 1e-2, 1e3), 10.0
         if index % 2:
             for names in (RATES, PER_POPULATION):
                 e = rng.randint(-40, 40)
@@ -213,8 +232,35 @@ def _map_outputs(retrodyn) -> dict:
     return {"stability_map": out}
 
 
-def worker(src: str, paths: list) -> None:
-    """Print the outputs of the package in ``src`` as one JSON object."""
+def trace_configs() -> list:
+    """The trace configs, as the module docstring says."""
+    rng = random.Random(2)
+    out = []
+    for index in range(TRACES):
+        if index % 4 < 2:
+            params = _params(rng)
+        else:
+            params = {name: value * math.exp(rng.uniform(-0.3, 0.3)) for name, value in PU.items()}
+        start = [_log_uniform(rng, 1e-3, 10.0) for _ in range(3)]
+        if index % 5 == 4:
+            start[0] = 5e-324
+            params.update({name: params[name] / 8 for name in PER_POPULATION})
+        t_end = _log_uniform(rng, 1.0, 50.0)
+        integration = {"t_end": t_end, "dt": t_end / rng.randint(20, 2000),
+                       "mode": "adaptive" if index % 2 else "fixed",
+                       "abs_tol": rng.choice((1e-9, 1e-3))}
+        out.append({
+            "params": params,
+            "initial_state": dict(zip("CIV", start)),
+            "integration": integration,
+            "lyapunov": {name: _log_uniform(rng, 1e-2, 1e2) for name in "ABD"},
+        })
+    return out
+
+
+def worker(src: str, paths: dict) -> None:
+    """Print the outputs of the package in ``src`` as one JSON object;
+    ``paths`` holds the config files of the commands and the traces."""
     sys.path.insert(0, src)
     import retrodyn
     import retrodyn.cli
@@ -222,9 +268,11 @@ def worker(src: str, paths: list) -> None:
 
     if Path(src).resolve() not in Path(retrodyn.__file__).resolve().parents:
         sys.exit(f"imported retrodyn from {retrodyn.__file__}, not from {src}")
-    commands = {command: [_run_command(retrodyn.cli.main, path, command) for path in paths] for command in COMMANDS}
-    json.dump({"commands": commands, "functions": _function_outputs(retrodyn), "maps": _map_outputs(retrodyn)},
-              sys.stdout)
+    def runs(names, section):
+        return {name: [_run_command(retrodyn.cli.main, path, name) for path in paths[section]] for name in names}
+
+    json.dump({"commands": runs(COMMANDS, "commands"), "functions": _function_outputs(retrodyn),
+               "maps": _map_outputs(retrodyn), "traces": runs(TRACED, "traces")}, sys.stdout)
 
 
 def extract(rev: str, dest: Path) -> Path:
@@ -245,17 +293,18 @@ def main(argv=None) -> int:
 
     cases = configs()
     with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for label, config in cases.items():
-            path = Path(tmp, f"{label}.json")
-            path.write_text(json.dumps(config))
-            paths.append(str(path))
+        paths = {"commands": [], "traces": []}
+        for section, named in (("commands", cases.items()), ("traces", enumerate(trace_configs()))):
+            for label, config in named:
+                path = Path(tmp, f"{section}-{label}.json")
+                path.write_text(json.dumps(config))
+                paths[section].append(str(path))
         # the workers run in tmp, so a directory given relative to here is resolved
         against = Path(args.against)
         against = against.resolve() if against.is_dir() else extract(args.against, Path(tmp, "against"))
         srcs = (str(against), str(Path(args.src).resolve()))
         runs = [
-            subprocess.Popen([sys.executable, __file__, "--worker", src, *paths],
+            subprocess.Popen([sys.executable, __file__, "--worker", src, json.dumps(paths)],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=tmp)
             for src in srcs
         ]
@@ -267,11 +316,13 @@ def main(argv=None) -> int:
             results.append(json.loads(stdout))
     old, new = results
 
-    labels = {"commands": list(cases), "functions": range(DRAWS), "maps": range(MAPS)}
-    unscaled = {"commands": set(UNSCALED_CONFIGS), "functions": range(0, DRAWS, 2), "maps": range(0, MAPS, 2)}
+    labels = {"commands": list(cases), "functions": range(DRAWS), "maps": range(MAPS), "traces": range(TRACES)}
+    unscaled = {"commands": set(UNSCALED_CONFIGS), "functions": range(0, DRAWS, 2), "maps": range(0, MAPS, 2),
+                "traces": [index for index in range(TRACES) if index % 5 != 4]}
     parts = []
     total = total_unscaled = 0
-    for section, names in (("commands", COMMANDS), ("functions", FUNCTIONS), ("maps", ("stability_map",))):
+    sections = (("commands", COMMANDS), ("functions", FUNCTIONS), ("maps", ("stability_map",)), ("traces", TRACED))
+    for section, names in sections:
         counts = []
         for name in names:
             pairs = list(zip(labels[section], old[section][name], new[section][name]))
@@ -290,6 +341,6 @@ def main(argv=None) -> int:
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--worker"]:
-        worker(sys.argv[2], sys.argv[3:])
+        worker(sys.argv[2], json.loads(sys.argv[3]))
     else:
         sys.exit(main())

@@ -1,6 +1,6 @@
 """The parent-diff tool against known answers: a tree compared with
 itself differs nowhere, and a tree with one kernel constant or one line
-of the map path changed differs where that code runs.  Each test
+of the map path or the trace changed differs where that code runs.  Each test
 compares a copy of the working tree's ``src`` with the working tree, so
 uncommitted code is what is checked.  The tool takes a few seconds per
 call, so these run as ``python -m pytest -q tools``, apart from the
@@ -15,9 +15,11 @@ SRC = diffcheck.ROOT / "src"
 
 
 def _counts(summary):
-    """{name: (mismatches, of them unscaled)} from the summary line."""
-    return {name: (int(bad), int(unscaled))
-            for name, bad, unscaled in re.findall(r"(\w+) (\d+)/\d+ \((\d+) unscaled\)", summary)}
+    """{section: {name: (mismatches, of them unscaled)}} from the summary line."""
+    sections = re.findall(r"(\w+): ((?:\w+ \d+/\d+ \(\d+ unscaled\)(?:, )?)+)", summary)
+    return {section: {name: (int(bad), int(unscaled))
+                      for name, bad, unscaled in re.findall(r"(\w+) (\d+)/\d+ \((\d+) unscaled\)", part)}
+            for section, part in sections}
 
 
 def _copy(tmp_path):
@@ -30,8 +32,10 @@ def test_tree_against_itself(tmp_path, capsys):
     summary = out.out.splitlines()[-1]
     assert summary.endswith("; 0 mismatches (0 unscaled)") and out.err == ""
     counts = _counts(summary)
-    assert set(counts) == set(diffcheck.COMMANDS + diffcheck.FUNCTIONS) | {"stability_map"}
-    assert set(counts.values()) == {(0, 0)}
+    assert {section: set(names) for section, names in counts.items()} == {
+        "commands": set(diffcheck.COMMANDS), "functions": set(diffcheck.FUNCTIONS),
+        "maps": {"stability_map"}, "traces": set(diffcheck.TRACED)}
+    assert {value for names in counts.values() for value in names.values()} == {(0, 0)}
 
 
 def _mutated(tmp_path, module, old, new):
@@ -50,8 +54,8 @@ def test_changed_kernel_constant_is_reported(tmp_path, capsys):
     assert diffcheck.main(["--against", str(SRC), "--src", str(src)]) == 1
     out = capsys.readouterr()
     counts = _counts(out.out.splitlines()[-1])
-    assert counts["condition4"][1] > 0 and counts["stability"][1] > 0
-    assert counts["inner_equilibrium"] == counts["simulate"] == (0, 0)
+    assert counts["functions"]["condition4"][1] > 0 and counts["commands"]["stability"][1] > 0
+    assert counts["functions"]["inner_equilibrium"] == counts["commands"]["simulate"] == (0, 0)
     assert "mismatch: condition4 on function " in out.err
 
 
@@ -63,8 +67,8 @@ def test_changed_cell_text_is_reported(tmp_path, capsys):
     assert diffcheck.main(["--against", str(SRC), "--src", str(src)]) == 1
     out = capsys.readouterr()
     counts = _counts(out.out.splitlines()[-1])
-    assert counts["stability_map"][1] > 0 and counts["sweep"][0] > 0
-    assert counts["evaluate_cell"] == counts["stability"] == (0, 0)
+    assert counts["maps"]["stability_map"][1] > 0 and counts["commands"]["sweep"][0] > 0
+    assert counts["functions"]["evaluate_cell"] == counts["commands"]["stability"] == (0, 0)
     assert "mismatch: stability_map on map " in out.err
 
 
@@ -74,5 +78,18 @@ def test_indefinite_first_guess_is_reported(tmp_path, capsys):
                    "if d1 > 0.0 and d2 > 0.0:\n        return True")
     assert diffcheck.main(["--against", str(SRC), "--src", str(src)]) == 1
     counts = _counts(capsys.readouterr().out.splitlines()[-1])
-    assert counts["stability_map"][0] > 0 and counts["evaluate_cell"][0] > 0
-    assert counts["search_coeffs"] == counts["condition4"] == (0, 0)
+    assert counts["maps"]["stability_map"][0] > 0 and counts["functions"]["evaluate_cell"][0] > 0
+    assert counts["functions"]["search_coeffs"] == counts["functions"]["condition4"] == (0, 0)
+
+
+def test_one_ulp_in_w_dot_is_reported(tmp_path, capsys):
+    # dW/dt's C term with 1.0 one ulp up: the traced commands differ,
+    # and nothing that does not sample dW/dt
+    src = _mutated(tmp_path, "lyapunov.py", "(1.0 - pt.C / C)", "(1.0000000000000002 - pt.C / C)")
+    assert diffcheck.main(["--against", str(SRC), "--src", str(src)]) == 1
+    out = capsys.readouterr()
+    counts = _counts(out.out.splitlines()[-1])
+    assert counts["traces"]["lyapunov"][0] > 0 and counts["commands"]["lyapunov"][0] > 0
+    assert counts["traces"]["simulate"] == counts["commands"]["simulate"] == (0, 0)
+    assert {value for section in ("functions", "maps") for value in counts[section].values()} == {(0, 0)}
+    assert "mismatch: lyapunov on trace " in out.err
