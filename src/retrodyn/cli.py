@@ -29,14 +29,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .equilibria import EquilibriumKind, all_equilibria, inner_equilibrium, residual
 from .errors import DomainError, IntegrationError, ParameterError
 from .integrator import IntegrationMode, IntegrationOptions, _check_initial, integrate, lyapunov_trace
 from .lyapunov import Condition4Variant, LyapunovCoeffs, condition4, search_coeffs
-from .model import PARAM_NAMES, ModelParams, State
+from .model import PARAM_NAMES, ModelParams, State, _Record
 from .stability import Verdict, classify_equilibrium
 from .sweep import SweepGrid, stability_map
 
@@ -50,8 +49,7 @@ _KEYS = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(_Record, frozen=False):
     params: ModelParams
     initial_state: Optional[State]
     integration: Optional[IntegrationOptions]

@@ -15,11 +15,10 @@ that exists only while infected cells are self-sustaining (a_I > m).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParameterError
-from .model import ModelParams, State, _rhs
+from .model import ModelParams, State, _Record, _rhs
 
 
 class EquilibriumKind(enum.Enum):
@@ -29,8 +28,7 @@ class EquilibriumKind(enum.Enum):
     INFECTED_ONLY = "infected_only"
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(_Record):
     point: State
     kind: EquilibriumKind
 

@@ -38,13 +38,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import IO, Optional
 
 from .equilibria import Equilibrium
 from .errors import DomainError, IntegrationError, ParameterError, _checked_float
 from .lyapunov import LyapunovCoeffs, _require_inner, _require_positive, _w, _w_dot
-from .model import ModelParams, State, _rhs
+from .model import ModelParams, State, _Record, _rhs
 
 # Growth/shrink clamps for the adaptive step controller.
 _SAFETY = 0.9
@@ -57,8 +56,7 @@ class IntegrationMode(enum.Enum):
     ADAPTIVE_RK4 = "adaptive"
 
 
-@dataclass(frozen=True)
-class IntegrationOptions:
+class IntegrationOptions(_Record):
     """Stepping policy and tolerances for :func:`integrate`.
 
     ``dt`` is the nominal step (fixed mode, required) or the initial
@@ -72,27 +70,26 @@ class IntegrationOptions:
     mode: IntegrationMode = IntegrationMode.FIXED_RK4
     max_steps: int = 1_000_000
 
-    def __post_init__(self):
-        object.__setattr__(self, "t_end", _checked_float("t_end", self.t_end, ">"))
+    def _post_init(self):
+        self._set("t_end", _checked_float("t_end", self.t_end, ">"))
         if not isinstance(self.mode, IntegrationMode):
             raise ParameterError(f"mode must be an IntegrationMode, got {self.mode!r}")
         if self.dt is None:
             if self.mode is IntegrationMode.FIXED_RK4:
                 raise ParameterError("fixed mode requires an explicit dt")
         else:
-            object.__setattr__(self, "dt", _checked_float("dt", self.dt, ">"))
+            self._set("dt", _checked_float("dt", self.dt, ">"))
             if self.dt > self.t_end:
                 raise ParameterError(f"dt={self.dt!r} exceeds t_end={self.t_end!r}")
-        object.__setattr__(self, "rel_tol", _checked_float("rel_tol", self.rel_tol, ">"))
+        self._set("rel_tol", _checked_float("rel_tol", self.rel_tol, ">"))
         if not self.rel_tol < 1.0:
             raise ParameterError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-        object.__setattr__(self, "abs_tol", _checked_float("abs_tol", self.abs_tol, ">"))
+        self._set("abs_tol", _checked_float("abs_tol", self.abs_tol, ">"))
         if not (isinstance(self.max_steps, int) and not isinstance(self.max_steps, bool) and self.max_steps > 0):
             raise ParameterError(f"max_steps must be a positive integer, got {self.max_steps!r}")
 
 
-@dataclass
-class Trajectory:
+class Trajectory(_Record, frozen=False):
     """Recorded solution samples: a list of times, and a list of
     (C, I, V) tuples, one per time.
 

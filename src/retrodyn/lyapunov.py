@@ -45,12 +45,11 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from .equilibria import Equilibrium, EquilibriumKind, _over_product, _own_inner_point
 from .errors import DomainError, ParameterError, _checked_float
-from .model import ModelParams, State, _rhs
+from .model import ModelParams, State, _Record, _rhs
 
 if TYPE_CHECKING:
     import numpy as np
@@ -84,21 +83,19 @@ _SCALE_MIN = 1e-100
 _EVERY = range(len(_WEIGHTS))
 
 
-@dataclass(frozen=True)
-class LyapunovCoeffs:
+class LyapunovCoeffs(_Record):
     """Positive weights (A, B, D) of the C, I and V terms of W."""
 
     A: float
     B: float
     D: float
 
-    def __post_init__(self):
+    def _post_init(self):
         for name in ("A", "B", "D"):
-            object.__setattr__(self, name, _checked_float(name, getattr(self, name), ">"))
+            self._set(name, _checked_float(name, getattr(self, name), ">"))
 
 
-@dataclass(frozen=True)
-class OmegaForm:
+class OmegaForm(_Record, derived=("delta1", "delta2", "delta3")):
     """Symmetric quadratic form in the deviations (V - V^, I - I^, C - C^).
 
     delta1..delta3 are the leading principal minors in that ordering;
@@ -112,18 +109,18 @@ class OmegaForm:
     omega13: float
     omega23: float
     evaluated_at: State
-    delta1: float = field(init=False)
-    delta2: float = field(init=False)
-    delta3: float = field(init=False)
+    delta1: float
+    delta2: float
+    delta3: float
 
-    def __post_init__(self):
+    def _post_init(self):
         d1, d2, d3 = _minors(
             self.omega11, self.omega22, self.omega33,
             self.omega12, self.omega13, self.omega23,
         )
-        object.__setattr__(self, "delta1", float(d1))
-        object.__setattr__(self, "delta2", float(d2))
-        object.__setattr__(self, "delta3", float(d3))
+        self._set("delta1", float(d1))
+        self._set("delta2", float(d2))
+        self._set("delta3", float(d3))
 
     @property
     def positive_definite(self) -> bool:
@@ -157,8 +154,7 @@ class Condition4Variant(enum.Enum):
     CORRECTED = "corrected"
 
 
-@dataclass(frozen=True)
-class Condition4Report:
+class Condition4Report(_Record):
     lhs: float
     rhs: float
     holds: bool

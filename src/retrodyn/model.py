@@ -23,12 +23,17 @@ characteristic cubic of a 3x3 matrix.  The algebra runs on Python
 floats; numpy is imported only by the functions that build or read an
 array (``as_array``, ``jacobian`` and ``char_cubic``), so importing the
 package does not load it.
+
+It also holds ``_Record``, the base of every record type in the
+package, which gives each record its constructor, repr, equality and
+hashing.  The standard library's record decorator would do the same,
+but its module loads ``inspect`` and it runs ``exec`` for each method
+it writes, which together were most of the time a fresh ``import
+retrodyn.cli`` spent in the package.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError, _checked_float
@@ -43,8 +48,86 @@ PARAM_NAMES = ("a", "a_I", "b11", "b12", "b21", "b22", "alpha", "m", "k", "sigma
 _BOUND = {name: ">=" if name in ("b12", "b21", "alpha") else ">" for name in PARAM_NAMES}
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _Record:
+    """Base of the package's record types.
+
+    A record declares its fields as class annotations, in order, and
+    gives the trailing ones a default by assignment.  ``derived`` names
+    fields that are not arguments: ``_post_init`` computes them.  A record
+    is built by position or keyword; a missing or unknown argument raises
+    TypeError.  ``_post_init`` then checks, normalises or derives fields
+    through ``_set``.  A record's repr is ``Name(field=value, ...)``, it
+    equals a record of its class with equal fields, and ``vars()`` lists
+    its fields in order.  It is frozen unless declared ``frozen=False``:
+    assigning to a frozen record raises AttributeError, and it hashes by
+    its fields, while a mutable record is unhashable.
+    """
+
+    _fields = ()
+    _defaults = {}
+    __match_args__ = ()
+
+    def __init_subclass__(cls, frozen=True, derived=()):
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls.__match_args__ = tuple(name for name in cls._fields if name not in derived)
+        cls._defaults = {name: cls.__dict__[name] for name in cls.__match_args__ if name in cls.__dict__}
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls.__match_args__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__qualname__}() takes {len(names)} arguments but {len(args)} were given")
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {name!r}")
+            if name in names[:len(args)]:
+                raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
+        values = {**cls._defaults, **dict(zip(names, args)), **kwargs}
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{cls.__qualname__}() missing required argument(s) {', '.join(map(repr, missing))}")
+        for name in names:
+            self._set(name, values[name])
+        self._post_init()
+
+    def _post_init(self):
+        """Check, normalise or derive fields with ``_set``; a record that
+        needs none of that leaves this as it is."""
+
+    def _set(self, name: str, value):
+        # Not through self.__dict__: on CPython 3.11 touching it moves the
+        # instance out of the inline attribute layout, and every later
+        # read such as _rhs's p.a gets slower.
+        object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ModelParams(_Record):
     """Immutable parameter set.
 
     a, a_I        per-capita growth rates of target / infected cells
@@ -67,20 +150,19 @@ class ModelParams:
     k: float
     sigma: float
 
-    def __post_init__(self):
+    def _post_init(self):
         for name, bound in _BOUND.items():
-            object.__setattr__(self, name, _checked_float(name, getattr(self, name), bound))
+            self._set(name, _checked_float(name, getattr(self, name), bound))
 
     def replace(self, **changes) -> "ModelParams":
         """Return a copy with the given fields replaced, checked as the constructor checks them."""
         for name in changes:
             if name not in _BOUND:
                 raise ParameterError(f"{name!r} is not a model parameter")
-        return dataclasses.replace(self, **changes)
+        return ModelParams(**{name: changes.get(name, getattr(self, name)) for name in PARAM_NAMES})
 
 
-@dataclass(frozen=True)
-class State:
+class State(_Record):
     """A point (C, I, V) in phase space."""
 
     C: float
@@ -93,8 +175,7 @@ class State:
         return np.array([self.C, self.I, self.V], dtype=float)
 
 
-@dataclass(frozen=True)
-class Derivative:
+class Derivative(_Record):
     """Value of the vector field at a state."""
 
     dC: float
@@ -107,8 +188,7 @@ class Derivative:
         return np.array([self.dC, self.dI, self.dV], dtype=float)
 
 
-@dataclass(frozen=True)
-class CubicCoeffs:
+class CubicCoeffs(_Record):
     """Coefficients of a monic cubic x^3 + p*x^2 + q*x + r."""
 
     p: float

@@ -24,10 +24,9 @@ of ``char_cubic(jacobian(...))``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .equilibria import Equilibrium, EquilibriumKind, _own_inner_point
-from .model import CubicCoeffs, ModelParams, _cubic_coeffs, _jacobian_entries
+from .model import CubicCoeffs, ModelParams, _cubic_coeffs, _jacobian_entries, _Record
 
 
 class Verdict(enum.Enum):
@@ -46,8 +45,7 @@ class Verdict(enum.Enum):
 _STABLE, _UNSTABLE, _MARGINAL = Verdict.STABLE, Verdict.UNSTABLE, Verdict.MARGINAL
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(_Record):
     cubic: CubicCoeffs
     verdict: Verdict
     margins: tuple  # (p, r, p*q - r), each positive when stable

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import IO, Optional, Sequence, Tuple
 
 from .equilibria import _inner_point
 from .errors import ParameterError, _checked_float
 from .lyapunov import _condition4_sides, _grid_has_definite
-from .model import _BOUND, ModelParams
+from .model import _BOUND, ModelParams, _Record
 from .stability import _STABLE, _UNSTABLE, Verdict, _equilibrium_verdict
 
 
@@ -59,22 +58,20 @@ def _check_axis(name: str, values: Sequence[float], bound: str) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(_Record):
     """Axes of the sweep plus the base parameter set the cells override."""
 
     base: ModelParams
     alpha_values: tuple
     k_values: tuple
 
-    def __post_init__(self):
+    def _post_init(self):
         _check_base(self.base)
-        object.__setattr__(self, "alpha_values", _check_axis("alpha_values", self.alpha_values, _BOUND["alpha"]))
-        object.__setattr__(self, "k_values", _check_axis("k_values", self.k_values, _BOUND["k"]))
+        self._set("alpha_values", _check_axis("alpha_values", self.alpha_values, _BOUND["alpha"]))
+        self._set("k_values", _check_axis("k_values", self.k_values, _BOUND["k"]))
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(_Record):
     """Diagnostics at one (alpha, k) cell; fields after the first are
     None when the coexistence equilibrium is absent there."""
 
@@ -95,8 +92,7 @@ _INNER = {
 }
 
 
-@dataclass
-class SweepResult:
+class SweepResult(_Record, frozen=False):
     grid: SweepGrid
     cells: list  # cells[i][j] for (alpha_values[i], k_values[j])
     alpha0: Optional[float]

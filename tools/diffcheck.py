@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import enum
 import hashlib
 import io
@@ -114,15 +113,16 @@ def configs() -> dict:
 
 
 def canon(x):
-    """x as JSON: floats by float.hex, enums by name, dataclasses by field."""
+    """x as JSON: floats by float.hex, enums by name, the package's
+    records field by field in ``vars()`` order."""
     if x is None or isinstance(x, (bool, str)):
         return x
     if isinstance(x, float):
         return x.hex()
     if isinstance(x, enum.Enum):
         return f"{type(x).__name__}.{x.name}"
-    if dataclasses.is_dataclass(x):
-        return {"type": type(x).__name__, **{f.name: canon(getattr(x, f.name)) for f in dataclasses.fields(x)}}
+    if type(x).__module__.startswith("retrodyn."):
+        return {"type": type(x).__name__, **{name: canon(value) for name, value in vars(x).items()}}
     if isinstance(x, (tuple, list)):
         return [canon(v) for v in x]
     return repr(x)

@@ -93,3 +93,16 @@ def test_one_ulp_in_w_dot_is_reported(tmp_path, capsys):
     assert counts["traces"]["simulate"] == counts["commands"]["simulate"] == (0, 0)
     assert {value for section in ("functions", "maps") for value in counts[section].values()} == {(0, 0)}
     assert "mismatch: lyapunov on trace " in out.err
+
+
+def test_record_reads_as_its_fields(monkeypatch):
+    # field by field in vars() order, whatever builds the record's class
+    monkeypatch.syspath_prepend(str(SRC))
+    from retrodyn import Equilibrium, EquilibriumKind, State
+
+    eq = Equilibrium(State(1.0, 0.5, 2.0), EquilibriumKind.INNER)
+    assert diffcheck.canon(eq) == {
+        "type": "Equilibrium",
+        "point": {"type": "State", "C": (1.0).hex(), "I": (0.5).hex(), "V": (2.0).hex()},
+        "kind": "EquilibriumKind.INNER",
+    }
