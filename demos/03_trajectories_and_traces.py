@@ -9,8 +9,6 @@ t,C,I,V and, for the trace, t,C,I,V,W,Wdot.
 
 import os
 
-import numpy as np
-
 from retrodyn import (
     IntegrationMode,
     IntegrationOptions,
@@ -39,8 +37,7 @@ def main():
           % (len(fixed.times), fixed.final_state().C, fixed.final_state().I, fixed.final_state().V))
     print("adaptive : %5d samples, endpoint (%.8g, %.8g, %.8g)"
           % (len(adapt.times), adapt.final_state().C, adapt.final_state().I, adapt.final_state().V))
-    gap = max(abs(a - b) for a, b in zip(fixed.final_state().as_array(),
-                                         adapt.final_state().as_array()))
+    gap = max(abs(a - b) for a, b in zip(fixed.states[-1], adapt.states[-1]))
     print("endpoint gap between policies: %.2e" % gap)
 
     with open(os.path.join(OUT_DIR, "trajectory.csv"), "w") as fh:
@@ -58,8 +55,8 @@ def main():
     for idx in range(0, n, max(1, n // 10)):
         w, wd = trace.lyapunov_samples[idx]
         print("  %8.2f %14.6e %14.6e" % (trace.times[idx], w, wd))
-    w = np.asarray(trace.lyapunov_samples)[:, 0]
-    print("monotone non-increasing: %s" % bool((w[1:] <= w[:-1] + 1e-12).all()))
+    w = [sample[0] for sample in trace.lyapunov_samples]
+    print("monotone non-increasing: %s" % all(b <= a + 1e-12 for a, b in zip(w, w[1:])))
     print("CSV written to %s" % OUT_DIR)
 
 

@@ -49,7 +49,7 @@ _KEYS = {
 }
 
 
-class RunConfig(_Record, frozen=False):
+class RunConfig(_Record):
     params: ModelParams
     initial_state: Optional[State]
     integration: Optional[IntegrationOptions]

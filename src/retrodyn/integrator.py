@@ -89,7 +89,7 @@ class IntegrationOptions(_Record):
             raise ParameterError(f"max_steps must be a positive integer, got {self.max_steps!r}")
 
 
-class Trajectory(_Record, frozen=False):
+class Trajectory(_Record):
     """Recorded solution samples: a list of times, and a list of
     (C, I, V) tuples, one per time.
 

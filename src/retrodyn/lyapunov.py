@@ -32,8 +32,7 @@ The scalar kernels, condition 4 and the weight search run on Python
 floats: ``search_coeffs`` and the sweep's ``_grid_has_definite`` read
 the same enumeration of the definite grid points.  Omega's entries, its
 minors and condition 4's sides hold no float literal, so the same
-kernels are exact on ``Fraction`` inputs.  numpy is imported only where
-an array is built, by ``OmegaForm.as_matrix``.
+kernels are exact on ``Fraction`` inputs.
 
 Each function that takes the parameters and an equilibrium raises
 ParameterError unless the equilibrium is their own inner one, point for
@@ -45,14 +44,11 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 from .equilibria import Equilibrium, EquilibriumKind, _over_product, _own_inner_point
 from .errors import DomainError, ParameterError, _checked_float
 from .model import ModelParams, State, _Record, _rhs
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # The weights A and B that search_coeffs tries: 41 log-spaced values in
 # [1e-3, 1e3], np.logspace(-3.0, 3.0, 41)'s bits where numpy's power uses
@@ -126,19 +122,12 @@ class OmegaForm(_Record, derived=("delta1", "delta2", "delta3")):
     def positive_definite(self) -> bool:
         return self.delta1 > 0.0 and self.delta2 > 0.0 and self.delta3 > 0.0
 
-    def as_matrix(self) -> np.ndarray:
-        import numpy as np
+    def as_matrix(self) -> tuple:
+        """The symmetric matrix, ordered (V, I, C), as three row tuples of floats."""
+        w11, w22, w33, w12, w13, w23 = map(float, self._values()[:6])
+        return (w11, w12, w13), (w12, w22, w23), (w13, w23, w33)
 
-        return np.array(
-            [
-                [self.omega11, self.omega12, self.omega13],
-                [self.omega12, self.omega22, self.omega23],
-                [self.omega13, self.omega23, self.omega33],
-            ],
-            dtype=float,
-        )
-
-    def value(self, d: np.ndarray) -> float:
+    def value(self, d) -> float:
         """Evaluate d . Omega . d for a deviation vector d = (dV, dI, dC)."""
         dV, dI, dC = float(d[0]), float(d[1]), float(d[2])
         return (

@@ -20,9 +20,8 @@ virus clears at rate sigma.
 This module holds the plain data types plus the three purely local
 operations on them: the right-hand side, its Jacobian, and the
 characteristic cubic of a 3x3 matrix.  The algebra runs on Python
-floats; numpy is imported only by the functions that build or read an
-array (``as_array``, ``jacobian`` and ``char_cubic``), so importing the
-package does not load it.
+floats, and every value returned is a float or a tuple of floats: the
+package needs no third-party library.
 
 It also holds ``_Record``, the base of every record type in the
 package, which gives each record its constructor, repr, equality and
@@ -34,12 +33,7 @@ retrodyn.cli`` spent in the package.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .errors import ParameterError, _checked_float
-
-if TYPE_CHECKING:
-    import numpy as np
 
 PARAM_NAMES = ("a", "a_I", "b11", "b12", "b21", "b22", "alpha", "m", "k", "sigma")
 
@@ -58,24 +52,20 @@ class _Record:
     TypeError.  ``_post_init`` then checks, normalises or derives fields
     through ``_set``.  A record's repr is ``Name(field=value, ...)``, it
     equals a record of its class with equal fields, and ``vars()`` lists
-    its fields in order.  It is frozen unless declared ``frozen=False``:
-    assigning to a frozen record raises AttributeError, and it hashes by
-    its fields, while a mutable record is unhashable.
+    its fields in order.  It is frozen: assigning to a field raises
+    AttributeError.  It hashes by its fields, so a record with a list
+    field is unhashable.
     """
 
     _fields = ()
     _defaults = {}
     __match_args__ = ()
 
-    def __init_subclass__(cls, frozen=True, derived=()):
+    def __init_subclass__(cls, derived=()):
         super().__init_subclass__()
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls.__match_args__ = tuple(name for name in cls._fields if name not in derived)
         cls._defaults = {name: cls.__dict__[name] for name in cls.__match_args__ if name in cls.__dict__}
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
@@ -169,11 +159,6 @@ class State(_Record):
     I: float
     V: float
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.C, self.I, self.V], dtype=float)
-
 
 class Derivative(_Record):
     """Value of the vector field at a state."""
@@ -181,11 +166,6 @@ class Derivative(_Record):
     dC: float
     dI: float
     dV: float
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.dC, self.dI, self.dV], dtype=float)
 
 
 class CubicCoeffs(_Record):
@@ -230,16 +210,14 @@ def _jacobian_entries(p: ModelParams, C, I, V) -> tuple:
     )
 
 
-def jacobian(params: ModelParams, s: State) -> np.ndarray:
+def jacobian(params: ModelParams, s: State) -> tuple:
     """Jacobian matrix of the vector field at ``s``, ordered (C, I, V).
 
     Returns:
-        (3, 3) float array J with J[i][j] = d f_i / d s_j.
+        Three row tuples of floats, J[i][j] = d f_i / d s_j.
     """
-    import numpy as np
-
-    entries = _jacobian_entries(params, s.C, s.I, s.V)
-    return np.array(entries, dtype=float).reshape(3, 3)
+    j = tuple(map(float, _jacobian_entries(params, s.C, s.I, s.V)))
+    return j[:3], j[3:6], j[6:]
 
 
 def _cubic_coeffs(j00, j01, j02, j10, j11, j12, j20, j21, j22) -> tuple:
@@ -258,8 +236,10 @@ def _cubic_coeffs(j00, j01, j02, j10, j11, j12, j20, j21, j22) -> tuple:
     return p, q, -det
 
 
-def char_cubic(J: np.ndarray) -> CubicCoeffs:
+def char_cubic(J) -> CubicCoeffs:
     """Characteristic polynomial det(lambda*Id - J) of a 3x3 matrix.
+
+    ``J`` is any 3x3 nested sequence of reals: lists, tuples or an array.
 
     Returned as the coefficients (p, q, r) of lambda^3 + p*lambda^2
     + q*lambda + r:
@@ -271,12 +251,13 @@ def char_cubic(J: np.ndarray) -> CubicCoeffs:
     The determinant is expanded explicitly so the result is a fixed,
     reproducible floating-point expression.
     """
-    import numpy as np
-
-    J = np.asarray(J, dtype=float)
-    if J.shape != (3, 3):
-        raise ParameterError(f"expected a 3x3 matrix, got shape {J.shape}")
-    # Python floats: the same operations as on numpy scalars, without
-    # their per-operation cost or their overflow warnings.
-    p, q, r = _cubic_coeffs(*J.ravel().tolist())
+    try:
+        rows = [tuple(row) for row in J]
+    except TypeError:  # J, or one of its rows, is not a sequence
+        rows = []
+    entries = [x for row in rows for x in row]
+    # An iterable entry is a third axis; an array scalar has no __iter__.
+    if len(rows) != 3 or any(len(row) != 3 for row in rows) or any(hasattr(x, "__iter__") for x in entries):
+        raise ParameterError("expected a 3x3 matrix of reals")
+    p, q, r = _cubic_coeffs(*map(float, entries))
     return CubicCoeffs(p=p, q=q, r=r)

@@ -92,7 +92,7 @@ _INNER = {
 }
 
 
-class SweepResult(_Record, frozen=False):
+class SweepResult(_Record):
     grid: SweepGrid
     cells: list  # cells[i][j] for (alpha_values[i], k_values[j])
     alpha0: Optional[float]

@@ -211,7 +211,7 @@ def fd_jacobian(params, s, h=1e-6):
         dn = base.copy()
         up[col] += h
         dn[col] -= h
-        fu = vector_field(params, State(*up)).as_array()
-        fd = vector_field(params, State(*dn)).as_array()
-        J[:, col] = (fu - fd) / (2.0 * h)
+        fu = vector_field(params, State(*up))
+        fd = vector_field(params, State(*dn))
+        J[:, col] = np.subtract([fu.dC, fu.dI, fu.dV], [fd.dC, fd.dI, fd.dV]) / (2.0 * h)
     return J

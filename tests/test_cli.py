@@ -448,8 +448,9 @@ def _module_env():
 def test_entry_point_wiring(tmp_path):
     tomllib = pytest.importorskip("tomllib")
     with open(_ROOT / "pyproject.toml", "rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
-    assert scripts["retrodyn"] == "retrodyn.cli:main"
+        project = tomllib.load(fh)["project"]
+    assert project["scripts"]["retrodyn"] == "retrodyn.cli:main"
+    assert not project.get("dependencies")  # the package needs no third-party package
     cfg = write_config(tmp_path, {"params": P1})
     proc = subprocess.run(_module_argv(cfg, "equilibria"), capture_output=True, text=True,
                           env=_module_env())
@@ -457,20 +458,16 @@ def test_entry_point_wiring(tmp_path):
     assert json.loads(proc.stdout.strip().split("\n")[0])["kind"] == "inner"
 
 
-def test_equilibria_and_sweep_never_import_numpy(tmp_path):
-    # numpy is most of a fresh process's start-up, and all five commands
-    # compute on floats only: neither the import nor a run may load it.
-    # Nor may they add dataclasses or inspect, which took a quarter of the
-    # import; those are compared with the modules loaded before it, as a
-    # host's site may load them.
-    # PU's grid has cells without an inner point, stable-definite cells
-    # and unstable ones; simulate and lyapunov step P2 in fixed mode and
-    # PU in adaptive mode.  P2 with every rate x 1e103
-    # is out of the weight search's closed forms' range, where the whole
-    # weight grid is enumerated.  The sweep's evaluate_cell and
-    # find_alpha_margin, called directly, and classify_equilibrium at
-    # every equilibrium of P2 (a boundary state's through
-    # routh_hurwitz_cubic) compute on floats as well.
+def _float_only_runs(tmp_path):
+    """(config, command, exit code) of nine CLI runs that between them
+    take every float-only path of the five commands.
+
+    PU's grid has cells without an inner point, stable-definite cells
+    and unstable ones; simulate and lyapunov step P2 in fixed mode and
+    PU in adaptive mode.  P2 with every rate x 1e103 is out of the
+    weight search's closed forms' range, where the whole weight grid is
+    enumerated.
+    """
     sweep = {"alpha_values": [0.001, 0.01, 2.0], "k_values": [1.0, 30.0]}
     pu = write_config(tmp_path, {"params": PU, "sweep": sweep}, "pu.json")
     far = dict(P2, **{name: 1e103 * P2[name] for name in ("a", "a_I", "m", "sigma", "alpha")})
@@ -482,9 +479,21 @@ def test_equilibria_and_sweep_never_import_numpy(tmp_path):
     adaptive = write_config(tmp_path, {"params": PU, **trace,
                                        "integration": {"t_end": 4.0, "dt": 0.01, "mode": "adaptive"}},
                             "adaptive.json")
-    runs = [(pu, "equilibria", 0), (pu, "sweep", 0), (pu, "stability", 1),
+    return [(pu, "equilibria", 0), (pu, "sweep", 0), (pu, "stability", 1),
             (far, "sweep", 0), (far, "stability", 1),
             (fixed, "simulate", 0), (fixed, "lyapunov", 0), (adaptive, "simulate", 0), (adaptive, "lyapunov", 0)]
+
+
+def test_equilibria_and_sweep_never_import_numpy(tmp_path):
+    # numpy is most of a fresh process's start-up, and all five commands
+    # compute on floats only: neither the import nor a run may load it.
+    # Nor may they add dataclasses or inspect, which took a quarter of the
+    # import; those are compared with the modules loaded before it, as a
+    # host's site may load them.  The sweep's evaluate_cell and
+    # find_alpha_margin, called directly, and classify_equilibrium at
+    # every equilibrium of P2 (a boundary state's through
+    # routh_hurwitz_cubic) compute on floats as well.
+    runs = _float_only_runs(tmp_path)
     script = (
         "import contextlib, io, json, sys\n"
         "before = set(sys.modules)\n"
@@ -508,6 +517,33 @@ def test_equilibria_and_sweep_never_import_numpy(tmp_path):
                           text=True, env=_module_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "%r\n" % ([[]] * (2 + len(runs)),)
+
+
+def test_package_runs_with_numpy_unimportable(tmp_path):
+    # The package declares no dependency: with every import of numpy
+    # failing, the nine runs and each public routine that returns a
+    # matrix or steps the model still work.
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import retrodyn, retrodyn.cli\n"
+        "for cfg, command, code in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert retrodyn.cli.main(['--config', cfg, command]) == code, (cfg, command)\n"
+        "p = retrodyn.ModelParams(**json.loads(sys.argv[2]))\n"
+        "eq, s = retrodyn.inner_equilibrium(p), retrodyn.State(1.0, 1.0, 1.0)\n"
+        "retrodyn.char_cubic(retrodyn.jacobian(p, eq.point))\n"
+        "coeffs, _ = retrodyn.search_coeffs(p, eq)\n"
+        "retrodyn.omega_at(p, coeffs, eq, s).as_matrix()\n"
+        "retrodyn.w_value(coeffs, eq, s), retrodyn.w_dot(p, coeffs, eq, s)\n"
+        "retrodyn.step_rk4(p, s, 0.01)\n"
+        "opts = retrodyn.IntegrationOptions(t_end=1.0, dt=0.25)\n"
+        "retrodyn.integrate(p, s, opts)\n"
+        "retrodyn.lyapunov_trace(p, coeffs, eq, s, opts)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(_float_only_runs(tmp_path)), json.dumps(P2)],
+                          capture_output=True, text=True, env=_module_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_closed_stdout_exits_141(tmp_path):

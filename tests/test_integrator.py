@@ -157,8 +157,8 @@ def test_times_endpoints():
 
 
 def _order_ratio(params, s0, t_end, dt, exact):
-    e1 = abs(integrate(params, s0, fixed(dt, t_end)).final_state().as_array() - exact).max()
-    e2 = abs(integrate(params, s0, fixed(dt / 2, t_end)).final_state().as_array() - exact).max()
+    e1 = abs(np.asarray(integrate(params, s0, fixed(dt, t_end)).states[-1]) - exact).max()
+    e2 = abs(np.asarray(integrate(params, s0, fixed(dt / 2, t_end)).states[-1]) - exact).max()
     return e1 / e2
 
 
@@ -176,15 +176,15 @@ def test_fourth_order_logistic():
 
 def test_fourth_order_full_model(p2):
     s0 = State(1.0, 1.0, 1.0)
-    ref = integrate(p2, s0, fixed(1e-4, 2.0)).final_state().as_array()
+    ref = np.asarray(integrate(p2, s0, fixed(1e-4, 2.0)).states[-1])
     assert 12.0 < _order_ratio(p2, s0, 2.0, 0.02, ref) < 20.0
 
 
 def test_adaptive_tracks_reference(p2):
     s0 = State(1.0, 1.0, 1.0)
-    ref = integrate(p2, s0, fixed(1e-4, 20.0)).final_state().as_array()
+    ref = np.asarray(integrate(p2, s0, fixed(1e-4, 20.0)).states[-1])
     traj = integrate(p2, s0, adaptive(20.0, rel_tol=1e-8, abs_tol=1e-12))
-    err = abs(traj.final_state().as_array() - ref).max()
+    err = abs(np.asarray(traj.states[-1]) - ref).max()
     assert err <= 100 * 1e-8
     # the controller actually moved the step around
     assert len(traj.times) < 20.0 / 1e-4
@@ -224,6 +224,21 @@ def test_fixed_mode_resumes_a_shortened_step(monkeypatch):
     calls = counting(monkeypatch, retrodyn.integrator, "_rk4")
     traj = integrate(_HOT, State(1e3, 1e3, 1e3), fixed(0.5, 1.0))
     assert len(calls) <= 2 * (len(traj.times) - 1)
+
+
+@pytest.mark.parametrize("dt", [0.5, 0.25, pytest.param(1.0, marks=pytest.mark.xfail(
+    strict=True, raises=IntegrationError,
+    reason="ROADMAP item 13: a fixed-step run parks at the -abs_tol floor and its step underflows"))])
+def test_fixed_mode_passes_the_negativity_floor(p_unstable, dt):
+    # The exact flow from (1, 1, 1) stays in the octant for all time.  At
+    # dt 1.0 an accepted step leaves C at -0.09999999999992576, just above
+    # the floor -abs_tol, at t ~ 32.196; every step from there is rejected
+    # and halved until it underflows.  At dt 0.5 and 0.25 C dips to about
+    # -0.095 and the run finishes.
+    opts = IntegrationOptions(t_end=50.0, dt=dt, abs_tol=0.1)
+    traj = integrate(p_unstable, State(1.0, 1.0, 1.0), opts)
+    assert traj.times[-1] == 50.0
+    assert min(map(min, traj.states)) >= -opts.abs_tol
 
 
 # Frozen bits of integrate on configs that between them take every

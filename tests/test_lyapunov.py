@@ -117,9 +117,9 @@ def test_w_dot_matches_difference_quotient(p2):
     h = 1e-5
     for _ in range(50):
         s = state_near(rng, eq.point, 0.7)
-        f = vector_field(p2, s).as_array()
-        sp = State(s.C + h * f[0], s.I + h * f[1], s.V + h * f[2])
-        sm = State(s.C - h * f[0], s.I - h * f[1], s.V - h * f[2])
+        f = vector_field(p2, s)
+        sp = State(s.C + h * f.dC, s.I + h * f.dI, s.V + h * f.dV)
+        sm = State(s.C - h * f.dC, s.I - h * f.dI, s.V - h * f.dV)
         fd = (w_value(coeffs, eq, sp) - w_value(coeffs, eq, sm)) / (2.0 * h)
         wd = w_dot(p2, coeffs, eq, s)
         assert fd == pytest.approx(wd, rel=1e-6, abs=1e-10)
@@ -228,10 +228,12 @@ def test_as_matrix_and_value_agree(p2):
     s = state_near(rng, eq.point, 1.0)
     form = omega_at(p2, LyapunovCoeffs(0.3, 2.0, 1.7), eq, s)
     m = form.as_matrix()
-    assert np.array_equal(m, m.T)
+    assert type(m) is tuple and all(type(row) is tuple and all(type(x) is float for x in row) for row in m)
+    assert m == tuple(zip(*m))  # symmetric
     for _ in range(20):
         d = rng.normal(size=3)
-        assert form.value(d) == pytest.approx(float(d @ m @ d), rel=1e-12, abs=1e-9)
+        assert form.value(d) == pytest.approx(float(d @ np.asarray(m) @ d), rel=1e-12, abs=1e-9)
+        assert form.value(tuple(d.tolist())) == form.value(d)
 
 
 def _raw_form(w11, w22, w33, w12, w13, w23):
@@ -259,7 +261,7 @@ def test_minors_match_determinant_oracle():
     for _ in range(200):
         w = rng.normal(size=6)
         form = _raw_form(*w)
-        m = form.as_matrix()
+        m = np.asarray(form.as_matrix())
         assert form.delta1 == m[0, 0]
         assert form.delta2 == pytest.approx(np.linalg.det(m[:2, :2]), rel=1e-10, abs=1e-12)
         assert form.delta3 == pytest.approx(np.linalg.det(m), rel=1e-10, abs=1e-12)

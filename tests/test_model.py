@@ -98,8 +98,8 @@ def test_field_vanishes_at_inner_equilibrium(p1, p2):
             params.append(p)
     for p in params:
         eq = inner_equilibrium(p)
-        d = vector_field(p, eq.point).as_array()
-        assert np.max(np.abs(d)) < 1e-12
+        d = vector_field(p, eq.point)
+        assert max(abs(d.dC), abs(d.dI), abs(d.dV)) < 1e-12
 
 
 def test_quasi_positivity():
@@ -124,9 +124,12 @@ def test_jacobian_third_row_exact():
         p = sample_params(rng)
         s = State(*map(float, rng.uniform(0.0, 3.0, 3)))
         J = jacobian(p, s)
-        assert J[2, 0] == 0.0
-        assert J[2, 1] == p.k * p.m
-        assert J[2, 2] == -p.sigma
+        # three row tuples of floats: the int 0 of _jacobian_entries is converted too
+        assert type(J) is tuple and len(J) == 3
+        assert all(type(row) is tuple and len(row) == 3 and all(type(x) is float for x in row) for row in J)
+        assert J[2][0] == 0.0
+        assert J[2][1] == p.k * p.m
+        assert J[2][2] == -p.sigma
 
 
 def test_jacobian_at_origin(p2):
@@ -146,7 +149,7 @@ def test_jacobian_matches_finite_differences():
     for _ in range(120):
         p = sample_params(rng)
         s = State(*map(float, rng.uniform(0.1, 3.0, 3)))
-        J = jacobian(p, s)
+        J = np.asarray(jacobian(p, s))
         F = fd_jacobian(p, s)
         assert np.all(np.abs(J - F) <= 1e-6 * (1.0 + np.abs(J)))
 
@@ -166,8 +169,11 @@ def test_char_cubic_zero_matrix():
 
 
 def test_char_cubic_rejects_bad_shape():
-    with pytest.raises(ParameterError):
-        char_cubic(np.zeros((2, 2)))
+    ragged = [[0.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+    for bad in (np.zeros((2, 2)), ragged, np.zeros((3, 4)), np.zeros((3, 3, 1)), [[[0.0]] * 3] * 3,
+                np.zeros(9), 0.0):
+        with pytest.raises(ParameterError):
+            char_cubic(bad)
 
 
 def test_char_cubic_annihilates_eigenvalues():
@@ -175,6 +181,11 @@ def test_char_cubic_annihilates_eigenvalues():
     for _ in range(200):
         J = rng.uniform(-2.0, 2.0, (3, 3))
         c = char_cubic(J)
+        # nested lists and nested tuples of the same matrix give the same bits
+        bits = [x.hex() for x in (c.p, c.q, c.r)]
+        for same in (J.tolist(), tuple(map(tuple, J.tolist()))):
+            cs = char_cubic(same)
+            assert [x.hex() for x in (cs.p, cs.q, cs.r)] == bits
         for lam in np.linalg.eigvals(J):
             value = lam**3 + c.p * lam**2 + c.q * lam + c.r
             assert abs(value) < 1e-8
