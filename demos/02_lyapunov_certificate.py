@@ -42,9 +42,9 @@ def identity_check(params, eq, rng, n=200):
     for _ in range(n):
         factors = np.exp(rng.uniform(-1.5, 1.5, size=3))
         s = State(pt.C * factors[0], pt.I * factors[1], pt.V * factors[2])
-        form = omega_at(params, coeffs, eq, s)
+        form = omega_at(params, coeffs, s)
         d = np.array([s.V - pt.V, s.I - pt.I, s.C - pt.C])
-        wd = w_dot(params, coeffs, eq, s)
+        wd = w_dot(params, coeffs, s)
         worst = max(worst, abs(form.value(d) + wd) / (1.0 + abs(wd)))
     return worst
 
@@ -61,7 +61,7 @@ def main():
         worst = identity_check(params, eq, rng)
         print("  identity -dW/dt == d.Omega.d, worst relative error over 200 states: %.2e" % worst)
 
-        hit = search_coeffs(params, eq)
+        hit = search_coeffs(params)
         if hit is None:
             print("  weight search: no positive definite form on the grid")
         else:
@@ -71,7 +71,7 @@ def main():
                   % (form.delta1, form.delta2, form.delta3))
 
         for variant in Condition4Variant:
-            r = condition4(params, eq, variant)
+            r = condition4(params, variant)
             print("  scalar condition (%s): lhs=%.6g rhs=%.6g -> %s"
                   % (variant.value, r.lhs, r.rhs, "holds" if r.holds else "fails"))
     print("=" * 72)

@@ -43,9 +43,9 @@ def main():
     with open(os.path.join(OUT_DIR, "trajectory.csv"), "w") as fh:
         fixed.write_csv(fh)
 
-    hit = search_coeffs(PARAMS, eq)
+    hit = search_coeffs(PARAMS)
     coeffs = hit[0] if hit is not None else LyapunovCoeffs(1.0, 1.0, 1.0)
-    trace = lyapunov_trace(PARAMS, coeffs, eq, s0, IntegrationOptions(t_end=40.0, dt=0.01))
+    trace = lyapunov_trace(PARAMS, coeffs, s0, IntegrationOptions(t_end=40.0, dt=0.01))
     with open(os.path.join(OUT_DIR, "lyapunov_trace.csv"), "w") as fh:
         trace.write_csv(fh)
 

@@ -158,8 +158,8 @@ def cmd_stability(config: RunConfig, args) -> int:
         return 1
     report = classify_equilibrium(config.params, eq)
     variant = Condition4Variant(args.variant)
-    c4 = condition4(config.params, eq, variant)
-    found = search_coeffs(config.params, eq)
+    c4 = condition4(config.params, variant)
+    found = search_coeffs(config.params)
     search_record = {"found": found is not None}
     if found is not None:
         coeffs, form = found
@@ -199,11 +199,10 @@ def cmd_sweep(config: RunConfig, args) -> int:
 
 
 def cmd_lyapunov(config: RunConfig, args) -> int:
-    eq = inner_equilibrium(config.params)
-    if eq is None:
+    if inner_equilibrium(config.params) is None:
         print("no coexistence equilibrium; nothing to trace", file=sys.stderr)
         return 1
-    traj = lyapunov_trace(config.params, config.lyapunov, eq, config.initial_state, config.integration)
+    traj = lyapunov_trace(config.params, config.lyapunov, config.initial_state, config.integration)
     traj.write_csv(sys.stdout)
     return 0
 

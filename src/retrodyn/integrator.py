@@ -32,6 +32,10 @@ Hence N <= Nbar = max(N0, 2r/q), C <= max(C0, 1/b11) (from
 dC/dt <= a*C*(1 - b11*C)) and V <= max(V0, k*m*Nbar/sigma) (from
 dV/dt <= k*m*Nbar - sigma*V).  The test suite checks RK4 output against
 these bounds with a relative allowance of 1e-9 for the step error.
+
+``lyapunov_trace`` integrates the same way and samples W and dW/dt at
+each recorded row, relative to the inner equilibrium that it solves
+from the parameters.
 """
 
 from __future__ import annotations
@@ -40,9 +44,8 @@ import enum
 import math
 from typing import IO, Optional
 
-from .equilibria import Equilibrium
 from .errors import DomainError, IntegrationError, ParameterError, _checked_float
-from .lyapunov import LyapunovCoeffs, _require_inner, _require_positive, _w, _w_dot
+from .lyapunov import LyapunovCoeffs, _inner, _require_positive, _w, _w_dot
 from .model import ModelParams, State, _Record, _rhs
 
 # Growth/shrink clamps for the adaptive step controller.
@@ -211,27 +214,21 @@ def integrate(params: ModelParams, s0: State, opts: IntegrationOptions) -> Traje
     return Trajectory(times=times, states=states)
 
 
-def lyapunov_trace(
-    params: ModelParams,
-    coeffs: LyapunovCoeffs,
-    eq: Equilibrium,
-    s0: State,
-    opts: IntegrationOptions,
-) -> Trajectory:
-    """Integrate from a strictly positive ``s0`` and sample W and dW/dt.
+def lyapunov_trace(params: ModelParams, coeffs: LyapunovCoeffs, s0: State, opts: IntegrationOptions) -> Trajectory:
+    """Integrate from a strictly positive ``s0`` and sample W and dW/dt,
+    relative to the inner equilibrium of ``params``.
 
     Each recorded row is sampled with the kernels of w_value and w_dot.
 
-    ``eq`` and ``s0`` are checked before integrating: ParameterError if
-    ``eq`` is not the inner equilibrium of ``params`` or ``s0`` fails the
-    check of :func:`integrate`, DomainError if a population of ``s0`` is 0
-    or a recorded state leaves the open octant (W is undefined there).
+    ``params`` and ``s0`` are checked before integrating: ParameterError
+    if ``params`` has no inner equilibrium or ``s0`` fails the check of
+    :func:`integrate`, DomainError if a population of ``s0`` is 0 or a
+    recorded state leaves the open octant (W is undefined there).
     """
-    _require_inner(eq, params)
+    pt = _inner(params)
     s0 = _check_initial(s0)
     _require_positive(s0)
     traj = integrate(params, s0, opts)
-    pt = eq.point
     samples = []
     for t, (C, I, V) in zip(traj.times, traj.states):
         if not (C > 0.0 and I > 0.0 and V > 0.0):

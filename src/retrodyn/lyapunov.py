@@ -34,9 +34,9 @@ the same enumeration of the definite grid points.  Omega's entries, its
 minors and condition 4's sides hold no float literal, so the same
 kernels are exact on ``Fraction`` inputs.
 
-Each function that takes the parameters and an equilibrium raises
-ParameterError unless the equilibrium is their own inner one, point for
-point in floats.
+The routines that need the inner equilibrium take the parameters, not
+the equilibrium: each solves it itself (``inner_equilibrium``'s solve,
+with the same bits) and raises ParameterError when there is none.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Optional, Tuple
 
-from .equilibria import Equilibrium, EquilibriumKind, _over_product, _own_inner_point
+from .equilibria import _inner_point, _over_product
 from .errors import DomainError, ParameterError, _checked_float
 from .model import ModelParams, State, _Record, _rhs
 
@@ -151,19 +151,22 @@ class Condition4Report(_Record):
 
 
 def volterra(s: float) -> float:
-    """v(s) = s - ln(s) - 1; nonnegative on (0, inf), zero only at s = 1."""
+    """v(s) = s - ln(s) - 1; nonnegative on (0, inf], zero only at s = 1.
+
+    v(inf) is inf, the limit, which a ratio C/C^ reaches on overflow.
+    """
     if not s > 0.0:
         raise DomainError(f"volterra term needs a positive argument, got {s!r}")
-    return s - math.log(s) - 1.0
+    return s - math.log(s) - 1.0 if s != math.inf else s
 
 
-def _require_inner(eq: Equilibrium, params: Optional[ModelParams] = None):
-    # ParameterError unless eq is an inner equilibrium, and, when params
-    # is given, params' own (equilibria._own_inner_point).
-    if eq.kind is not EquilibriumKind.INNER:
-        raise ParameterError(f"expected the inner equilibrium, got kind {eq.kind.value!r}")
-    if params is not None:
-        _own_inner_point(params, eq)
+def _inner(params: ModelParams) -> tuple:
+    """(C^, I^, V^) of params' inner equilibrium, as inner_equilibrium
+    solves it; ParameterError when there is none."""
+    solved = _inner_point(params, params.alpha, params.k)
+    if solved is None:
+        raise ParameterError("no coexistence equilibrium for these parameters")
+    return solved[:3]
 
 
 def _require_positive(s: State):
@@ -172,36 +175,34 @@ def _require_positive(s: State):
 
 
 # Unchecked kernels on plain floats, for w_value/w_dot and each row of
-# the integrator's trace; pt is the inner equilibrium's point.
+# the integrator's trace; pt is the inner equilibrium's (C^, I^, V^).
 def _w(coeffs, pt, C, I, V):
-    return (
-        coeffs.A * volterra(C / pt.C)
-        + coeffs.B * volterra(I / pt.I)
-        + coeffs.D * volterra(V / pt.V)
-    )
+    Ch, Ih, Vh = pt
+    return coeffs.A * volterra(C / Ch) + coeffs.B * volterra(I / Ih) + coeffs.D * volterra(V / Vh)
 
 
 def _w_dot(params, coeffs, pt, C, I, V):
+    Ch, Ih, Vh = pt
     dC, dI, dV = _rhs(params, C, I, V)
     return (
-        coeffs.A * (1.0 - pt.C / C) * dC / pt.C
-        + coeffs.B * (1.0 - pt.I / I) * dI / pt.I
-        + coeffs.D * (1.0 - pt.V / V) * dV / pt.V
+        coeffs.A * (1.0 - Ch / C) * dC / Ch
+        + coeffs.B * (1.0 - Ih / I) * dI / Ih
+        + coeffs.D * (1.0 - Vh / V) * dV / Vh
     )
 
 
-def w_value(coeffs: LyapunovCoeffs, eq: Equilibrium, s: State) -> float:
-    """W(s) relative to the inner equilibrium."""
-    _require_inner(eq)
+def w_value(params: ModelParams, coeffs: LyapunovCoeffs, s: State) -> float:
+    """W(s) relative to the inner equilibrium of ``params``."""
+    pt = _inner(params)
     _require_positive(s)
-    return _w(coeffs, eq.point, s.C, s.I, s.V)
+    return _w(coeffs, pt, s.C, s.I, s.V)
 
 
-def w_dot(params: ModelParams, coeffs: LyapunovCoeffs, eq: Equilibrium, s: State) -> float:
+def w_dot(params: ModelParams, coeffs: LyapunovCoeffs, s: State) -> float:
     """Derivative of W along the flow, evaluated directly at state ``s``."""
-    _require_inner(eq, params)
+    pt = _inner(params)
     _require_positive(s)
-    return _w_dot(params, coeffs, eq.point, s.C, s.I, s.V)
+    return _w_dot(params, coeffs, pt, s.C, s.I, s.V)
 
 
 def _omega_entries(params, alpha, k, A, B, D, eq_point, at_point):
@@ -231,23 +232,18 @@ def _minors(w11, w22, w33, w12, w13, w23):
     return d1, d2, d3
 
 
-def omega_at(params: ModelParams, coeffs: LyapunovCoeffs, eq: Equilibrium, s: State) -> OmegaForm:
+def omega_at(params: ModelParams, coeffs: LyapunovCoeffs, s: State) -> OmegaForm:
     """Coefficient matrix of the quadratic form -dW/dt at state ``s``."""
-    _require_inner(eq, params)
+    pt = _inner(params)
     _require_positive(s)
     entries = _omega_entries(
-        params, params.alpha, params.k, coeffs.A, coeffs.B, coeffs.D,
-        (eq.point.C, eq.point.I, eq.point.V), (s.C, s.I, s.V),
+        params, params.alpha, params.k, coeffs.A, coeffs.B, coeffs.D, pt, (s.C, s.I, s.V),
     )
     return OmegaForm(*entries, evaluated_at=s)
 
 
-def condition4(
-    params: ModelParams,
-    eq: Equilibrium,
-    variant: Condition4Variant = Condition4Variant.CORRECTED,
-) -> Condition4Report:
-    """The paper's scalar condition 4 at the equilibrium.
+def condition4(params: ModelParams, variant: Condition4Variant = Condition4Variant.CORRECTED) -> Condition4Report:
+    """The paper's scalar condition 4 at the inner equilibrium.
 
     Compares a product of the two diagonal self-limitation brackets
     (lhs) against a squared cross-coupling term (rhs); ``holds`` means
@@ -256,11 +252,10 @@ def condition4(
     sufficient for a definite Omega: where both brackets are negative
     their product is positive, and it can hold at an unstable equilibrium.
     """
-    _require_inner(eq, params)
+    pt = _inner(params)
     if not isinstance(variant, Condition4Variant):
         raise ParameterError(f"unknown condition variant {variant!r}")
-    pt = eq.point
-    lhs, rhs_as_written, rhs_corrected = _condition4_sides(params, params.alpha, pt.C, pt.I, pt.V)
+    lhs, rhs_as_written, rhs_corrected = _condition4_sides(params, params.alpha, *pt)
     rhs = rhs_as_written if variant is Condition4Variant.AS_WRITTEN else rhs_corrected
     return Condition4Report(lhs=float(lhs), rhs=float(rhs), holds=bool(lhs > rhs), variant=variant)
 
@@ -280,8 +275,8 @@ def _condition4_sides(params: ModelParams, alpha, Ch, Ih, Vh) -> Tuple[float, fl
     return lhs, x * x / 4, y * y / 4
 
 
-def search_coeffs(params: ModelParams, eq: Equilibrium) -> Optional[Tuple[LyapunovCoeffs, OmegaForm]]:
-    """Search a log grid of weights for a definite Omega at the equilibrium.
+def search_coeffs(params: ModelParams) -> Optional[Tuple[LyapunovCoeffs, OmegaForm]]:
+    """Search a log grid of weights for a definite Omega at the inner equilibrium.
 
     D is pinned to 1 (scaling all three weights only rescales the
     minors, so nothing is lost), while A and B range over 41
@@ -292,15 +287,15 @@ def search_coeffs(params: ModelParams, eq: Equilibrium) -> Optional[Tuple[Lyapun
     when no pair makes Omega definite.  The form returned holds the
     winner's entries as the search evaluated them.
     """
-    # params' own inner point may hold an overflowed (inf) coordinate,
-    # which only leaves Omega indefinite.
-    _require_inner(eq, params)
-    hits = _definite_points(params, params.alpha, params.k, (eq.point.C, eq.point.I, eq.point.V))
+    # The inner point may hold an overflowed (inf) coordinate, which
+    # only leaves Omega indefinite.
+    pt = _inner(params)
+    hits = _definite_points(params, params.alpha, params.k, pt)
     best = max(hits, key=lambda hit: (min(hit[3]), -hit[0], -hit[1]), default=None)
     if best is None:
         return None
     i, j, entries, _ = best
-    return LyapunovCoeffs(A=_WEIGHTS[i], B=_WEIGHTS[j], D=1.0), OmegaForm(*entries, evaluated_at=eq.point)
+    return LyapunovCoeffs(A=_WEIGHTS[i], B=_WEIGHTS[j], D=1.0), OmegaForm(*entries, evaluated_at=State(*pt))
 
 
 def _positive_run(c2, c1, c0):
@@ -370,8 +365,8 @@ def _definite_points(params: ModelParams, alpha: float, k: float, pt: tuple):
 
 
 def _grid_has_definite(params: ModelParams, alpha: float, k: float, pt: tuple) -> bool:
-    """``search_coeffs(p, eq) is not None`` for p = params with (alpha, k)
-    in place of its own and eq the inner equilibrium at pt = (C, I, V).
+    """``search_coeffs(p) is not None`` for p = params with (alpha, k)
+    in place of its own, whose inner equilibrium is pt = (C, I, V).
 
     First guess: Korobeinikov's weights (A, B, D) = (C^, I^, V^/k),
     scaled to D = 1 and each rounded up onto the grid (a NaN ratio to

@@ -138,7 +138,7 @@ def evaluate_cell(base: ModelParams, alpha: float, k: float) -> SweepCell:
     The cell is that of p = ``base.replace(alpha=alpha, k=k)``, checked
     as the constructor checks it: alpha first, with the same error.  The
     result is one of the shared cells, and its ``sylvester_pd`` is
-    ``search_coeffs(p, eq) is not None``, decided as the module
+    ``search_coeffs(p) is not None``, decided as the module
     docstring says.  A bad base fails as in ``SweepGrid``.
     """
     _check_base(base)

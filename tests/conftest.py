@@ -6,6 +6,7 @@ coexistence equilibrium is clearly unstable (Hurwitz margin < -1e-2).
 """
 
 import math
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -187,6 +188,22 @@ def counting(monkeypatch, module, name):
     calls = []
     func = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: calls.append(args) or func(*args))
+    return calls
+
+
+def counting_solves(monkeypatch):
+    """Count the solves of the reduced system: wrap equilibria._inner_point
+    in every retrodyn module that binds it, so that each call, through
+    whichever module, appends its positional arguments to the list returned."""
+    calls = []
+
+    def solve(*args):
+        calls.append(args)
+        return _inner_point(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "retrodyn" and getattr(module, "_inner_point", None) is _inner_point:
+            monkeypatch.setattr(module, "_inner_point", solve)
     return calls
 
 

@@ -33,7 +33,7 @@ from retrodyn import (
     w_dot,
 )
 
-from conftest import ACCEPTANCE_LINES, sample_params, sample_params_mild, state_near
+from conftest import ACCEPTANCE_LINES, log_axis, sample_params, sample_params_mild, state_near
 
 P1 = ModelParams(a=1, a_I=2, b11=1, b12=0, b21=0, b22=1, alpha=0, m=1, k=1, sigma=2)
 P2 = ModelParams(a=1, a_I=2, b11=1, b12=0.1, b21=0.1, b22=1, alpha=0.5, m=0.5, k=1, sigma=1)
@@ -59,10 +59,6 @@ def _report(criterion: int, ok: bool, detail: str):
     print(line)
     ACCEPTANCE_LINES.append(line)
     assert ok, line
-
-
-def _log_axis(lo, hi, n):
-    return [float(v) for v in np.logspace(math.log10(lo), math.log10(hi), n)]
 
 
 def test_01_equilibrium_correctness():
@@ -108,9 +104,9 @@ def test_02_master_identity():
         )
         for _ in range(1000):
             s = state_near(rng, pt, 2.0)
-            form = omega_at(p, coeffs, eq, s)
+            form = omega_at(p, coeffs, s)
             d = np.array([s.V - pt.V, s.I - pt.I, s.C - pt.C])
-            wd = w_dot(p, coeffs, eq, s)
+            wd = w_dot(p, coeffs, s)
             worst = max(worst, abs(form.value(d) + wd) / (1.0 + abs(wd)))
     _report(
         2,
@@ -128,7 +124,7 @@ def test_03_gradient_check():
 
     def worst_fd_error(dt):
         opts = IntegrationOptions(t_end=2.0, dt=dt)
-        traj = lyapunov_trace(P2, coeffs, eq, s0, opts)
+        traj = lyapunov_trace(P2, coeffs, s0, opts)
         samples = np.asarray(traj.lyapunov_samples)
         w = samples[:, 0]
         wd = samples[1:-1, 1]
@@ -152,8 +148,8 @@ def _family_maps():
         alpha_hi, n_alpha = (3.0, 12) if name == "generic" else (0.3, 10)
         grid = SweepGrid(
             base=base,
-            alpha_values=_log_axis(1e-3, alpha_hi, n_alpha),
-            k_values=_log_axis(1e-2, 0.8, 10),
+            alpha_values=log_axis(1e-3, alpha_hi, n_alpha),
+            k_values=log_axis(1e-2, 0.8, 10),
         )
         out[name] = (grid, stability_map(grid))
     return out
@@ -164,7 +160,7 @@ def test_04_stable_rectangle_and_decay():
     ok = True
     for name, base in FAMILIES.items():
         eq = inner_equilibrium(base)
-        ok &= condition4(base, eq).holds
+        ok &= condition4(base).holds
         grid, res = _family_maps()[name]
         ok &= res.alpha0 is not None and res.k0 is not None
         if not ok:
@@ -179,11 +175,11 @@ def test_04_stable_rectangle_and_decay():
         )
         ok &= rect_stable
 
-        hit = search_coeffs(base, eq)
+        hit = search_coeffs(base)
         ok &= hit is not None
         coeffs = hit[0] if hit is not None else LyapunovCoeffs(1.0, 1.0, 1.0)
         s0 = State(1.01 * eq.point.C, 1.01 * eq.point.I, 1.01 * eq.point.V)
-        traj = lyapunov_trace(base, coeffs, eq, s0, IntegrationOptions(t_end=10.0, dt=0.01))
+        traj = lyapunov_trace(base, coeffs, s0, IntegrationOptions(t_end=10.0, dt=0.01))
         w = np.asarray(traj.lyapunov_samples)[:, 0]
         rise = float(np.diff(w).max())
         ok &= rise <= 1e-9 and w[-1] < w[0]
@@ -212,7 +208,7 @@ def test_05_no_definite_form_at_unstable_cells():
                 rep = classify_equilibrium(p, eq)
                 if min(rep.margins) >= -1e-8:
                     continue  # not unstable beyond the guard band
-                hit = search_coeffs(p, eq)
+                hit = search_coeffs(p)
                 if hit is not None and min(hit[1].delta1, hit[1].delta2, hit[1].delta3) > 1e-10:
                     contradictions += 1
 

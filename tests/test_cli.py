@@ -392,8 +392,7 @@ def test_lyapunov_trace_columns(tmp_path, capsys):
     assert lines[0] == "t,C,I,V,W,Wdot"
     # %.17g survives the float round-trip bit for bit
     w0 = float(lines[1].split(",")[4])
-    eq = inner_equilibrium(_model(P2))
-    assert w0 == w_value(LyapunovCoeffs(**coeffs), eq, State(1.0, 1.0, 1.0))
+    assert w0 == w_value(_model(P2), LyapunovCoeffs(**coeffs), State(1.0, 1.0, 1.0))
 
 
 def test_lyapunov_no_inner_exit_1(tmp_path, capsys):
@@ -533,13 +532,13 @@ def test_package_runs_with_numpy_unimportable(tmp_path):
         "p = retrodyn.ModelParams(**json.loads(sys.argv[2]))\n"
         "eq, s = retrodyn.inner_equilibrium(p), retrodyn.State(1.0, 1.0, 1.0)\n"
         "retrodyn.char_cubic(retrodyn.jacobian(p, eq.point))\n"
-        "coeffs, _ = retrodyn.search_coeffs(p, eq)\n"
-        "retrodyn.omega_at(p, coeffs, eq, s).as_matrix()\n"
-        "retrodyn.w_value(coeffs, eq, s), retrodyn.w_dot(p, coeffs, eq, s)\n"
+        "coeffs, _ = retrodyn.search_coeffs(p)\n"
+        "retrodyn.omega_at(p, coeffs, s).as_matrix()\n"
+        "retrodyn.w_value(p, coeffs, s), retrodyn.w_dot(p, coeffs, s)\n"
         "retrodyn.step_rk4(p, s, 0.01)\n"
         "opts = retrodyn.IntegrationOptions(t_end=1.0, dt=0.25)\n"
         "retrodyn.integrate(p, s, opts)\n"
-        "retrodyn.lyapunov_trace(p, coeffs, eq, s, opts)\n"
+        "retrodyn.lyapunov_trace(p, coeffs, s, opts)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(_float_only_runs(tmp_path)), json.dumps(P2)],
                           capture_output=True, text=True, env=_module_env())

@@ -15,7 +15,6 @@ from retrodyn import (
     ParameterError,
     State,
     Trajectory,
-    boundary_equilibria,
     inner_equilibrium,
     integrate,
     lyapunov_trace,
@@ -292,7 +291,7 @@ def test_frozen_bits(params, s0, opts, rows, sha256):
     ],
 )
 def test_frozen_trace_bits(params, coeffs, s0, opts, rows, sha256):
-    traj = lyapunov_trace(params, coeffs, inner_equilibrium(params), State(*s0), opts)
+    traj = lyapunov_trace(params, coeffs, State(*s0), opts)
     assert len(traj.times) == rows
     assert hashlib.sha256(np.asarray(traj.lyapunov_samples).tobytes()).hexdigest() == sha256
 
@@ -372,7 +371,7 @@ def test_csv_exact_text(p2):
         "t,C,I,V\n", ([t, *s] for t, s in zip(traj.times, traj.states))
     )
 
-    traced = lyapunov_trace(p2, ONES, inner_equilibrium(p2), State(1.0, 1.0, 1.0), fixed(0.5, 1.0))
+    traced = lyapunov_trace(p2, ONES, State(1.0, 1.0, 1.0), fixed(0.5, 1.0))
     buf = io.StringIO()
     traced.write_csv(buf)
     rows = ([t, *s, *w] for t, s, w in zip(traced.times, traced.states, traced.lyapunov_samples))
@@ -380,8 +379,7 @@ def test_csv_exact_text(p2):
 
 
 def test_trace_csv_header(p2):
-    eq = inner_equilibrium(p2)
-    traj = lyapunov_trace(p2, ONES, eq, State(1.0, 1.0, 1.0), fixed(0.25, 1.0))
+    traj = lyapunov_trace(p2, ONES, State(1.0, 1.0, 1.0), fixed(0.25, 1.0))
     buf = io.StringIO()
     traj.write_csv(buf)
     lines = buf.getvalue().strip().split("\n")
@@ -394,14 +392,14 @@ def test_trace_csv_header(p2):
 
 def test_trace_at_equilibrium_is_flat(p2):
     eq = inner_equilibrium(p2)
-    traj = lyapunov_trace(p2, ONES, eq, eq.point, fixed(0.5, 5.0))
+    traj = lyapunov_trace(p2, ONES, eq.point, fixed(0.5, 5.0))
     assert abs(np.asarray(traj.lyapunov_samples)[:, 0]).max() < 1e-12
 
 
 def test_trace_decreases_near_equilibrium(p2):
     eq = inner_equilibrium(p2)
     s0 = State(1.01 * eq.point.C, 1.01 * eq.point.I, 1.01 * eq.point.V)
-    traj = lyapunov_trace(p2, ONES, eq, s0, fixed(0.01, 10.0))
+    traj = lyapunov_trace(p2, ONES, s0, fixed(0.01, 10.0))
     w = np.asarray(traj.lyapunov_samples)[:, 0]
     assert w[0] > 0.0
     assert np.diff(w).max() <= 1e-12
@@ -417,7 +415,7 @@ def test_trace_slope_matches_wdot(p2):
     s0 = state_near(rng, eq.point, 0.3)
 
     def worst(dt):
-        traj = lyapunov_trace(p2, ONES, eq, s0, fixed(dt, 2.0))
+        traj = lyapunov_trace(p2, ONES, s0, fixed(dt, 2.0))
         assert np.array_equal(traj.times, dt * np.arange(len(traj.times)))
         samples = np.asarray(traj.lyapunov_samples)
         w = samples[:, 0]
@@ -430,22 +428,20 @@ def test_trace_slope_matches_wdot(p2):
     assert 2.8 < e1 / e2 < 5.2
 
 
-def test_trace_requires_positive_start(p2, monkeypatch):
+def test_trace_requires_positive_start(p2, p3, monkeypatch):
     # every bad input is rejected before any integration work
     def no_integration(*args):
         raise AssertionError("integrate called")
 
     monkeypatch.setattr(retrodyn.integrator, "integrate", no_integration)
-    eq = inner_equilibrium(p2)
     opts = fixed(0.1, 1.0)
     with pytest.raises(DomainError):
-        lyapunov_trace(p2, ONES, eq, State(1.0, 0.0, 1.0), opts)
+        lyapunov_trace(p2, ONES, State(1.0, 0.0, 1.0), opts)
     for bad in ("x", float("nan"), -1.0):
         with pytest.raises(ParameterError, match="initial C"):
-            lyapunov_trace(p2, ONES, eq, State(bad, 1.0, 1.0), opts)
-    for boundary in boundary_equilibria(p2):
-        with pytest.raises(ParameterError, match="inner equilibrium"):
-            lyapunov_trace(p2, ONES, boundary, State(1.0, 1.0, 1.0), opts)
+            lyapunov_trace(p2, ONES, State(bad, 1.0, 1.0), opts)
+    with pytest.raises(ParameterError, match="no coexistence equilibrium"):
+        lyapunov_trace(p3, ONES, State(1.0, 1.0, 1.0), opts)
 
 
 def test_attach_rejects_boundary_states(p2, monkeypatch):
@@ -454,7 +450,7 @@ def test_attach_rejects_boundary_states(p2, monkeypatch):
     def trace(params, states):
         synth = Trajectory(times=[0.0, 1.0, 2.0], states=states)
         monkeypatch.setattr(retrodyn.integrator, "integrate", lambda *args: synth)
-        return lyapunov_trace(params, ONES, inner_equilibrium(params), State(1.0, 1.0, 1.0), fixed(0.1, 1.0))
+        return lyapunov_trace(params, ONES, State(1.0, 1.0, 1.0), fixed(0.1, 1.0))
 
     with pytest.raises(DomainError, match=r"t=1\.0: \(1\.0, 0\.0, 1\.0\)"):
         trace(p2, [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (-1.0, 1.0, 1.0)])
@@ -474,9 +470,9 @@ def test_trace_matches_scalar_kernels():
         coeffs = LyapunovCoeffs(*(float(np.exp(rng.uniform(-3.0, 3.0))) for _ in range(3)))
         s0 = state_near(rng, eq.point, 1.5)
         opts = fixed(0.01, 20.0) if i % 2 else adaptive(20.0, rel_tol=1e-10, abs_tol=1e-12)
-        traj = lyapunov_trace(p, coeffs, eq, s0, opts)
+        traj = lyapunov_trace(p, coeffs, s0, opts)
         for s, (w, wd) in zip(traj.states, traj.lyapunov_samples):
-            assert (w, wd) == (w_value(coeffs, eq, State(*s)), w_dot(p, coeffs, eq, State(*s)))
+            assert (w, wd) == (w_value(p, coeffs, State(*s)), w_dot(p, coeffs, State(*s)))
 
 
 @pytest.mark.parametrize("rate", [1.0, 1e-3, pytest.param(1e-5, marks=pytest.mark.xfail(
@@ -489,7 +485,7 @@ def test_adaptive_trace_stays_in_the_open_octant(p_unstable, rate):
     # accepted step puts I near -2.23e-11, above the -abs_tol floor.
     q = units_scaled(p_unstable, time=rate)
     opts = adaptive(40.0 / rate, dt=0.01 / rate)
-    traj = lyapunov_trace(q, ONES, inner_equilibrium(q), State(1.0, 1.0, 1.0), opts)
+    traj = lyapunov_trace(q, ONES, State(1.0, 1.0, 1.0), opts)
     assert len(traj.lyapunov_samples) == len(traj.times)
 
 
@@ -498,5 +494,5 @@ def test_trace_overflow_is_silent():
     # (the suite turns warnings into errors)
     q = ModelParams(a=1, a_I=0.8, b11=0.3, b12=0.05, b21=0.05, b22=0.3, alpha=0.5, m=1, k=1.2, sigma=0.5)
     huge = LyapunovCoeffs(A=1e308, B=1.0, D=1e308)
-    traj = lyapunov_trace(q, huge, inner_equilibrium(q), State(20.0, 0.01, 0.01), fixed(0.25, 1.0))
+    traj = lyapunov_trace(q, huge, State(20.0, 0.01, 0.01), fixed(0.25, 1.0))
     assert traj.lyapunov_samples == [(math.inf, -math.inf)] * 5

@@ -10,16 +10,17 @@ from retrodyn import (
     Condition4Variant,
     CubicCoeffs,
     DomainError,
+    IntegrationOptions,
     LyapunovCoeffs,
     ModelParams,
     OmegaForm,
     ParameterError,
     State,
     Verdict,
-    boundary_equilibria,
     classify_equilibrium,
     condition4,
     inner_equilibrium,
+    lyapunov_trace,
     omega_at,
     routh_hurwitz_cubic,
     search_coeffs,
@@ -37,7 +38,8 @@ from retrodyn.lyapunov import (
 from retrodyn.model import PARAM_NAMES, _cubic_coeffs, _jacobian_entries
 
 from conftest import (
-    counting, eq_point, log_uniform, refuse_objects, sample_params, sample_params_mild, state_near, units_scaled,
+    counting, counting_solves, eq_point, log_uniform, refuse_objects, sample_params, sample_params_mild, state_near,
+    units_scaled,
 )
 
 ONES = LyapunovCoeffs(1.0, 1.0, 1.0)
@@ -58,10 +60,10 @@ def test_volterra_values():
     assert volterra(1.0) == 0.0
     assert volterra(2.0) == pytest.approx(1.0 - math.log(2.0), rel=1e-15)
     assert volterra(0.5) > 0.0
-    with pytest.raises(DomainError):
-        volterra(0.0)
-    with pytest.raises(DomainError):
-        volterra(-1.0)
+    assert volterra(math.inf) == math.inf  # the limit, not inf - inf
+    for bad in (0.0, -1.0, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            volterra(bad)
 
 
 def test_coeffs_validation():
@@ -78,13 +80,13 @@ def test_coeffs_validation():
 def test_w_value_at_equilibrium_is_zero(p1, p2):
     for p in (p1, p2):
         eq = inner_equilibrium(p)
-        assert w_value(ONES, eq, eq.point) == 0.0
+        assert w_value(p, ONES, eq.point) == 0.0
 
 
 def test_w_value_hand_case(p1):
-    eq = inner_equilibrium(p1)  # (1, 0.5, 0.25)
+    assert inner_equilibrium(p1).point == State(1.0, 0.5, 0.25)
     s = State(2.0, 0.5, 0.25)
-    w = w_value(LyapunovCoeffs(1.0, 2.0, 3.0), eq, s)
+    w = w_value(p1, LyapunovCoeffs(1.0, 2.0, 3.0), s)
     assert w == pytest.approx(1.0 - math.log(2.0), rel=1e-15)
 
 
@@ -93,20 +95,28 @@ def test_w_value_positive_off_equilibrium(p2):
     eq = inner_equilibrium(p2)
     for _ in range(100):
         s = state_near(rng, eq.point, 1.0)
-        assert w_value(ONES, eq, s) > 0.0
+        assert w_value(p2, ONES, s) > 0.0
+
+
+def test_w_value_is_inf_where_a_ratio_overflows(p2):
+    # C^ is tiny, so C/C^ overflows to inf at a finite octant state; W
+    # reads inf, the limit, where inf - log(inf) would be NaN
+    p = p2.replace(b11=1e300)
+    C_hat = inner_equilibrium(p).point.C
+    assert C_hat < 1e-300 and 1e10 / C_hat == math.inf
+    assert w_value(p, ONES, State(1e10, 1.0, 1.0)) == math.inf
 
 
 def test_w_dot_zero_at_equilibrium(p1, p2):
     for p in (p1, p2):
         eq = inner_equilibrium(p)
-        assert w_dot(p, ONES, eq, eq.point) == 0.0
+        assert w_dot(p, ONES, eq.point) == 0.0
 
 
 def test_w_dot_hand_case(p1):
     # P1 decouples (alpha = 0); at (2, 1, 0.5) every term is dyadic:
     # dC = -2, dI = -1, dV = 0, so dW/dt = 0.5*(-2)/1 + 0.5*(-1)/0.5 = -2
-    eq = inner_equilibrium(p1)
-    assert w_dot(p1, ONES, eq, State(2.0, 1.0, 0.5)) == -2.0
+    assert w_dot(p1, ONES, State(2.0, 1.0, 0.5)) == -2.0
 
 
 def test_w_dot_matches_difference_quotient(p2):
@@ -120,15 +130,14 @@ def test_w_dot_matches_difference_quotient(p2):
         f = vector_field(p2, s)
         sp = State(s.C + h * f.dC, s.I + h * f.dI, s.V + h * f.dV)
         sm = State(s.C - h * f.dC, s.I - h * f.dI, s.V - h * f.dV)
-        fd = (w_value(coeffs, eq, sp) - w_value(coeffs, eq, sm)) / (2.0 * h)
-        wd = w_dot(p2, coeffs, eq, s)
+        fd = (w_value(p2, coeffs, sp) - w_value(p2, coeffs, sm)) / (2.0 * h)
+        wd = w_dot(p2, coeffs, s)
         assert fd == pytest.approx(wd, rel=1e-6, abs=1e-10)
 
 
 def test_omega_hand_case(p1):
     # at (2, 1, 0.5): omega11 = 16, omega22 = 4, omega33 = 1, omega12 = -4
-    eq = inner_equilibrium(p1)
-    form = omega_at(p1, ONES, eq, State(2.0, 1.0, 0.5))
+    form = omega_at(p1, ONES, State(2.0, 1.0, 0.5))
     assert (form.omega11, form.omega22, form.omega33) == (16.0, 4.0, 1.0)
     assert (form.omega12, form.omega13, form.omega23) == (-4.0, 0.0, 0.0)
     d = np.array([0.5 - 0.25, 1.0 - 0.5, 2.0 - 1.0])
@@ -153,16 +162,15 @@ def test_master_identity(p1, p2):
         pt = eq.point
         for _ in range(1000):
             s = state_near(rng, pt, 2.0)
-            form = omega_at(p, coeffs, eq, s)
+            form = omega_at(p, coeffs, s)
             d = np.array([s.V - pt.V, s.I - pt.I, s.C - pt.C])
-            wd = w_dot(p, coeffs, eq, s)
+            wd = w_dot(p, coeffs, s)
             assert abs(form.value(d) + wd) <= 1e-10 * (1.0 + abs(wd))
 
 
 def test_omega33_state_independent(p2):
-    eq = inner_equilibrium(p2)
-    f1 = omega_at(p2, ONES, eq, State(0.2, 0.3, 0.4))
-    f2 = omega_at(p2, ONES, eq, State(5.0, 7.0, 11.0))
+    f1 = omega_at(p2, ONES, State(0.2, 0.3, 0.4))
+    f2 = omega_at(p2, ONES, State(5.0, 7.0, 11.0))
     assert f1.omega33 == f2.omega33
     assert f1.omega11 != f2.omega11
 
@@ -170,7 +178,7 @@ def test_omega33_state_independent(p2):
 def test_omega_entries_at_equilibrium(p2):
     eq = inner_equilibrium(p2)
     pt = eq.point
-    form = omega_at(p2, ONES, eq, pt)
+    form = omega_at(p2, ONES, pt)
     assert form.omega11 == p2.sigma / (pt.V * pt.V)
     assert form.omega13 == 0.5 * p2.alpha / pt.C
     assert form.omega33 == p2.a * p2.b11 / pt.C
@@ -208,14 +216,14 @@ def test_omega_underflowing_divisor(p2):
     # V*V^, I*I^ and I*I^^2 underflow to 0 at these octant states; the
     # entries then divide by one factor at a time instead of raising
     eq = inner_equilibrium(p2)
-    form = omega_at(p2, ONES, eq, State(1.0, 1.0, 5e-324))
+    form = omega_at(p2, ONES, State(1.0, 1.0, 5e-324))
     assert (form.omega11, form.omega12) == (math.inf, -math.inf)
-    assert form.omega22 == omega_at(p2, ONES, eq, State(1.0, 1.0, 1.0)).omega22
-    form = omega_at(p2, ONES, eq, State(1.0, 5e-324, 1.0))
+    assert form.omega22 == omega_at(p2, ONES, State(1.0, 1.0, 1.0)).omega22
+    form = omega_at(p2, ONES, State(1.0, 5e-324, 1.0))
     assert (form.omega22, form.omega12, form.omega23) == (math.inf, -math.inf, -math.inf)
     # a product that stays above 0 keeps the one-step division
     s = State(1.0, 1e-300, 1e-300)
-    form = omega_at(p2, ONES, eq, s)
+    form = omega_at(p2, ONES, s)
     assert form.omega11 == p2.sigma / (s.V * eq.point.V)
     assert form.omega22 == p2.a_I * p2.b22 / eq.point.I + p2.alpha * eq.point.C * eq.point.V / (
         s.I * eq.point.I * eq.point.I
@@ -226,7 +234,7 @@ def test_as_matrix_and_value_agree(p2):
     rng = np.random.default_rng(61)
     eq = inner_equilibrium(p2)
     s = state_near(rng, eq.point, 1.0)
-    form = omega_at(p2, LyapunovCoeffs(0.3, 2.0, 1.7), eq, s)
+    form = omega_at(p2, LyapunovCoeffs(0.3, 2.0, 1.7), s)
     m = form.as_matrix()
     assert type(m) is tuple and all(type(row) is tuple and all(type(x) is float for x in row) for row in m)
     assert m == tuple(zip(*m))  # symmetric
@@ -268,21 +276,19 @@ def test_minors_match_determinant_oracle():
 
 
 def test_condition4_p1(p1):
-    eq = inner_equilibrium(p1)
-    r_aw = condition4(p1, eq, Condition4Variant.AS_WRITTEN)
-    r_co = condition4(p1, eq, Condition4Variant.CORRECTED)
+    r_aw = condition4(p1, Condition4Variant.AS_WRITTEN)
+    r_co = condition4(p1, Condition4Variant.CORRECTED)
     assert r_aw.lhs == 2.0 and r_co.lhs == 2.0
     assert r_aw.rhs == 0.0009765625  # (V^2/2)^2 with V^ = 1/4
     assert r_co.rhs == 0.0  # alpha = 0 kills the corrected cross term
     assert r_aw.holds and r_co.holds
     with pytest.raises(ParameterError, match="variant"):
-        condition4(p1, eq, "corrected")  # the value, not the enum member
+        condition4(p1, "corrected")  # the value, not the enum member
 
 
 def test_condition4_p2_frozen(p2):
-    eq = inner_equilibrium(p2)
-    r_aw = condition4(p2, eq, Condition4Variant.AS_WRITTEN)
-    r_co = condition4(p2, eq)
+    r_aw = condition4(p2, Condition4Variant.AS_WRITTEN)
+    r_co = condition4(p2)
     assert r_co.variant is Condition4Variant.CORRECTED
     assert r_aw.lhs == pytest.approx(P2_COND4_LHS, rel=1e-12)
     assert r_co.lhs == pytest.approx(P2_COND4_LHS, rel=1e-12)
@@ -294,8 +300,8 @@ def test_condition4_p2_frozen(p2):
 def test_condition4_variants_coincide_at_fixed_point(p2):
     p = p2.replace(alpha=ALPHA_FIXED_POINT)
     eq = inner_equilibrium(p)
-    r_aw = condition4(p, eq, Condition4Variant.AS_WRITTEN)
-    r_co = condition4(p, eq, Condition4Variant.CORRECTED)
+    r_aw = condition4(p, Condition4Variant.AS_WRITTEN)
+    r_co = condition4(p, Condition4Variant.CORRECTED)
     assert abs(eq.point.V - p.alpha) < 1e-15
     assert r_aw.rhs == r_co.rhs
 
@@ -309,22 +315,20 @@ def test_condition4_is_not_sufficient(p_unstable):
     rep = classify_equilibrium(p_unstable, eq)
     assert rep.verdict is Verdict.UNSTABLE
     for variant in Condition4Variant:
-        assert condition4(p_unstable, eq, variant).holds
+        assert condition4(p_unstable, variant).holds
 
 
 def test_condition4_rhs_overflows_to_inf(p2):
     # a*b12/C^ is finite but its square is not: the rhs must read inf
     # and fail to hold
     p = p2.replace(a=1e308)
-    eq = inner_equilibrium(p)
     for variant in Condition4Variant:
-        report = condition4(p, eq, variant)
+        report = condition4(p, variant)
         assert report.rhs == math.inf and not report.holds
 
 
 def test_search_p2_frozen(p2):
-    eq = inner_equilibrium(p2)
-    hit = search_coeffs(p2, eq)
+    hit = search_coeffs(p2)
     assert hit is not None
     coeffs, form = hit
     assert coeffs.A == pytest.approx(P2_SEARCH_A, rel=1e-12)
@@ -340,7 +344,7 @@ def test_search_skips_overflowed_weights(p2):
     # P2 with every rate x 1e101: part of the weight grid overflows to
     # NaN minors, yet definite grid points remain
     p = units_scaled(p2, 1e101)
-    hit = search_coeffs(p, inner_equilibrium(p))
+    hit = search_coeffs(p)
     assert hit is not None
     coeffs, form = hit
     assert (coeffs.A, coeffs.B) == (1e-3, _WEIGHTS[15])
@@ -405,7 +409,7 @@ def test_grid_has_definite_matches_search(p1, p2, p_unstable, monkeypatch):
         eq = inner_equilibrium(p)
         if eq is None:
             continue
-        want = search_coeffs(p, eq) is not None
+        want = search_coeffs(p) is not None
         del evaluated[:]
         assert _grid_has_definite(p, p.alpha, p.k, eq_point(eq)) is want, p
         outcomes.append((want, len(evaluated) == 1))
@@ -422,7 +426,7 @@ def test_grid_has_definite_skips_the_grid_search(p1, p2, p_unstable, monkeypatch
     far = [units_scaled(p2, 1e101), units_scaled(p2, 1e103), units_scaled(p_unstable, 1e103)]
     cases = [p1, p2, p_unstable, units_scaled(p2, 1e-5), units_scaled(p2, 1e20)] + far
     cases = [(p, inner_equilibrium(p)) for p in cases]
-    want = [search_coeffs(p, eq) is not None for p, eq in cases]
+    want = [search_coeffs(p) is not None for p, eq in cases]
     evaluated = counting(monkeypatch, retrodyn.lyapunov, "_minors")
     refuse_objects(monkeypatch)
     got, counts = [], []
@@ -482,7 +486,7 @@ def test_grid_has_definite_falls_back_to_the_enumeration(monkeypatch):
     eq = inner_equilibrium(p)
     assert classify_equilibrium(p, eq).verdict is Verdict.STABLE
     assert not all(d > 0.0 for d in _korobeinikov_minors(p, eq_point(eq)))
-    assert search_coeffs(p, eq) is not None
+    assert search_coeffs(p) is not None
     evaluated = counting(monkeypatch, retrodyn.lyapunov, "_omega_entries")
     assert _grid_has_definite(p, p.alpha, p.k, eq_point(eq)) is True
     # the guess, the weights' two parts and at least one grid point
@@ -520,7 +524,7 @@ def test_search_matches_numpy_grid_argmax(p1, p2, p_unstable):
         eq = inner_equilibrium(p)
         if eq is None:
             continue
-        hit = search_coeffs(p, eq)
+        hit = search_coeffs(p)
         if hit is not None:
             coeffs, form = hit
             hit = [coeffs.A, coeffs.B, coeffs.D, form.delta1, form.delta2, form.delta3]
@@ -531,16 +535,14 @@ def test_search_matches_numpy_grid_argmax(p1, p2, p_unstable):
 
 
 def test_search_unstable_exemplar_absent(p_unstable):
-    eq = inner_equilibrium(p_unstable)
-    assert search_coeffs(p_unstable, eq) is None
+    assert search_coeffs(p_unstable) is None
 
 
 def test_minor_scaling(p2):
     # doubling all three weights scales the minors by 2, 4 and 8 exactly
-    eq = inner_equilibrium(p2)
     s = State(0.9, 0.6, 0.5)
-    base = omega_at(p2, LyapunovCoeffs(0.25, 1.5, 1.0), eq, s)
-    scaled = omega_at(p2, LyapunovCoeffs(0.5, 3.0, 2.0), eq, s)
+    base = omega_at(p2, LyapunovCoeffs(0.25, 1.5, 1.0), s)
+    scaled = omega_at(p2, LyapunovCoeffs(0.5, 3.0, 2.0), s)
     assert scaled.delta1 == 2.0 * base.delta1
     assert scaled.delta2 == 4.0 * base.delta2
     assert scaled.delta3 == 8.0 * base.delta3
@@ -548,15 +550,14 @@ def test_minor_scaling(p2):
 
 def test_non_finite_states_rejected(p2):
     # inf is no point of the open octant: W and dW/dt there read NaN
-    eq = inner_equilibrium(p2)
     for s in (State(math.inf, 1.0, 1.0), State(1.0, math.inf, 1.0), State(1.0, 1.0, math.inf),
               State(math.nan, 1.0, 1.0)):
         with pytest.raises(DomainError, match="open positive octant"):
-            w_value(ONES, eq, s)
+            w_value(p2, ONES, s)
         with pytest.raises(DomainError, match="open positive octant"):
-            w_dot(p2, ONES, eq, s)
+            w_dot(p2, ONES, s)
         with pytest.raises(DomainError, match="open positive octant"):
-            omega_at(p2, ONES, eq, s)
+            omega_at(p2, ONES, s)
 
 
 def test_search_at_an_overflowed_inner_point(p1):
@@ -566,7 +567,7 @@ def test_search_at_an_overflowed_inner_point(p1):
     p = p1.replace(k=1e300, sigma=1e-10)
     eq = inner_equilibrium(p)
     assert (eq.point.C, eq.point.I, eq.point.V) == (1.0, 0.5, math.inf)
-    assert search_coeffs(p, eq) is None
+    assert search_coeffs(p) is None
     assert _grid_has_definite(p, p.alpha, p.k, eq_point(eq)) is False
 
 
@@ -579,12 +580,12 @@ def test_search_reports_the_form_it_ranked(p1, p2, monkeypatch):
         eq = inner_equilibrium(p)
         hits = list(_definite_points(p, p.alpha, p.k, eq_point(eq)))
         enumerated = len(calls)
-        coeffs, form = search_coeffs(p, eq)
+        coeffs, form = search_coeffs(p)
         assert len(calls) == 2 * enumerated
         del calls[:]
         (i, j, entries, _), = [hit for hit in hits if (_WEIGHTS[hit[0]], _WEIGHTS[hit[1]]) == (coeffs.A, coeffs.B)]
         assert (form.omega11, form.omega22, form.omega33, form.omega12, form.omega13, form.omega23) == entries
-        assert form.evaluated_at is eq.point
+        assert form.evaluated_at == eq.point
 
 
 def _exact_failures(p, A, B, form):
@@ -622,7 +623,7 @@ def test_grid_weights_pass_the_exact_oracles():
             e = int(rng.integers(-40, 41))
             p = p.replace(**{name: math.ldexp(getattr(p, name), e) for name in ("a", "a_I", "m", "sigma", "alpha")})
         eq = inner_equilibrium(p)
-        hit = eq and search_coeffs(p, eq)
+        hit = eq and search_coeffs(p)
         if not hit:
             continue
         coeffs, form = hit
@@ -631,7 +632,7 @@ def test_grid_weights_pass_the_exact_oracles():
         first = OmegaForm(*entries, evaluated_at=eq.point)
         assert _exact_failures(p, _WEIGHTS[i], _WEIGHTS[j], first) == [], p
         A, B = _korobeinikov_weights(p, eq_point(eq))
-        guess = omega_at(p, LyapunovCoeffs(A, B, 1.0), eq, eq.point)
+        guess = omega_at(p, LyapunovCoeffs(A, B, 1.0), eq.point)
         if guess.positive_definite:
             assert _exact_failures(p, A, B, guess) == [], p
             guessed += 1
@@ -639,18 +640,41 @@ def test_grid_weights_pass_the_exact_oracles():
     assert checked > 400 and guessed > 300
 
 
-def test_inner_equilibrium_required(p1):
-    boundary = boundary_equilibria(p1)[1]
-    eq = inner_equilibrium(p1)
-    with pytest.raises(ParameterError):
-        w_value(ONES, boundary, State(1.0, 1.0, 1.0))
-    with pytest.raises(ParameterError):
-        w_dot(p1, ONES, boundary, State(1.0, 1.0, 1.0))
-    with pytest.raises(ParameterError):
-        condition4(p1, boundary)
-    with pytest.raises(ParameterError):
-        search_coeffs(p1, boundary)
+def test_inner_equilibrium_required(p1, p3):
+    # Each routine solves the inner equilibrium of its parameters: p3 has
+    # none, so each one raises the same ParameterError before any other check.
+    s = State(1.0, 1.0, 1.0)
+    opts = IntegrationOptions(t_end=1.0, dt=0.5)
+    assert inner_equilibrium(p3) is None
+    for call in (
+        lambda: w_value(p3, ONES, s),
+        lambda: w_dot(p3, ONES, s),
+        lambda: omega_at(p3, ONES, s),
+        lambda: condition4(p3, "not a variant"),
+        lambda: search_coeffs(p3),
+        lambda: lyapunov_trace(p3, ONES, s, opts),
+    ):
+        with pytest.raises(ParameterError, match="^no coexistence equilibrium for these parameters$"):
+            call()
     with pytest.raises(DomainError):
-        w_value(ONES, eq, State(1.0, 0.0, 1.0))
+        w_value(p1, ONES, State(1.0, 0.0, 1.0))
     with pytest.raises(DomainError):
-        omega_at(p1, ONES, eq, State(-1.0, 1.0, 1.0))
+        omega_at(p1, ONES, State(-1.0, 1.0, 1.0))
+
+
+def test_each_routine_solves_once(p2, monkeypatch):
+    # One solve of the inner equilibrium per call, and no other.
+    solves = counting_solves(monkeypatch)
+    s = State(1.0, 1.0, 1.0)
+    calls = (
+        lambda: w_value(p2, ONES, s),
+        lambda: w_dot(p2, ONES, s),
+        lambda: omega_at(p2, ONES, s),
+        lambda: condition4(p2),
+        lambda: search_coeffs(p2),
+        lambda: lyapunov_trace(p2, ONES, s, IntegrationOptions(t_end=1.0, dt=0.5)),
+    )
+    for call in calls:
+        del solves[:]
+        call()
+        assert len(solves) == 1

