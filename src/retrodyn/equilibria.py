@@ -38,12 +38,15 @@ def residual(params: ModelParams, point: State) -> float:
     return max(map(abs, _rhs(params, point.C, point.I, point.V)))
 
 
-def _over_product(x, u, v, w=1):
-    """x / (u*v*w) for positive scalars u, v and w, divided one factor
-    at a time when the product underflows to 0.  The default w = 1
-    changes no bit of x / (u*v)."""
-    uvw = u * v * w
-    return x / uvw if uvw != 0 else x / u / v / w
+def _over_product(x, u, v, w=None):
+    """x / (u*v), or x / (u*v*w) when w is given, for positive scalars
+    u, v and w, divided one factor at a time when the product underflows
+    to 0."""
+    uvw = u * v if w is None else u * v * w
+    if uvw != 0.0:
+        return x / uvw
+    x = x / u / v
+    return x if w is None else x / w
 
 
 def _inner_point(p: ModelParams, alpha: float, k: float) -> Optional[tuple]:
@@ -55,13 +58,13 @@ def _inner_point(p: ModelParams, alpha: float, k: float) -> Optional[tuple]:
     a21 = p.a_I * p.b21 - akm / p.sigma
     a22 = p.a_I * p.b22
     det = p.b11 * a22 - a12 * a21
-    if det == 0:
+    if det == 0.0:
         return None
     r2 = p.a_I - p.m
     C = (a22 - a12 * r2) / det
     I = (p.b11 * r2 - a21) / det
     V = k * p.m * I / p.sigma
-    if C > 0 and I > 0 and V > 0:
+    if C > 0.0 and I > 0.0 and V > 0.0:
         return C, I, V, det
     return None
 

@@ -5,6 +5,7 @@ import operator
 import sys
 
 _FLOAT_MAX = sys.float_info.max
+_NEG_FLOAT_MAX = -_FLOAT_MAX
 _BOUNDS = {">": operator.gt, ">=": operator.ge, "!=": operator.ne}
 
 
@@ -31,13 +32,14 @@ def _checked_float(name: str, value, bound: str) -> float:
     with ``bound`` one of ">", ">=" or "!=".
 
     A sweep cell's alpha and k pass through here once per cell, so a plain
-    float skips the type tests and messages are built only on failure.
+    float skips the type tests and comes back as itself, and messages are
+    built only on failure.
     """
     if (
         value.__class__ is not float
         and (isinstance(value, bool) or not isinstance(value, (int, float)))
-    ) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+    ) or not _NEG_FLOAT_MAX <= value <= _FLOAT_MAX:
         raise ParameterError(f"{name!r} must be a finite real number, got {value!r}")
     if not _BOUNDS[bound](value, 0.0):
         raise ParameterError(f"{name!r} must be {bound} 0, got {value!r}")
-    return float(value)
+    return value if value.__class__ is float else float(value)

@@ -77,6 +77,7 @@ _ROOT_SLACK = 1e-9
 _PART_MAX = 1e40
 _SCALE_MIN = 1e-100
 _EVERY = range(len(_WEIGHTS))
+_LAST = len(_WEIGHTS) - 1
 
 
 class LyapunovCoeffs(_Record):
@@ -309,8 +310,10 @@ def _positive_run(c2, c1, c0):
     """
     if c2 > 0.0:
         return _EVERY
+    if not c1 > 0.0:  # then no x > 0 is positive
+        return range(0)
     disc = c1 * c1 - 4.0 * c2 * c0
-    if not (c1 > 0.0 and disc > 0.0):
+    if not disc > 0.0:
         return range(0)
     s = c1 + math.sqrt(disc)
     lo = -2.0 * c0 / s
@@ -347,15 +350,17 @@ def _definite_points(params: ModelParams, alpha: float, k: float, pt: tuple):
 
     # delta2(B) = w11*g*B - (u*B + c)^2
     b_run = _positive_run(-u * u, w11 * g - 2.0 * u * c, -c * c) if in_range else _EVERY
+    # Out of the loop, as the same left-to-right products: the same bits.
+    w11f, w11ff, neg_w11 = w11 * f, w11 * f * f, -w11
     for j in b_run:
         B = _WEIGHTS[j]
         a_run = _EVERY
         if in_range:
             w12, w22, qB = u * B + c, g * B, q * B
             a_run = _positive_run(
-                -(w11 * f * f - 2.0 * w12 * e * f + w22 * e * e),
-                h * (w11 * w22 - w12 * w12) + 2.0 * qB * (w12 * e - w11 * f),
-                -w11 * qB * qB,
+                -(w11ff - 2.0 * w12 * e * f + w22 * e * e),
+                h * (w11 * w22 - w12 * w12) + 2.0 * qB * (w12 * e - w11f),
+                neg_w11 * qB * qB,
             )
         for i in a_run:
             entries = _omega_entries(params, alpha, k, _WEIGHTS[i], B, 1.0, pt, pt)
@@ -375,9 +380,9 @@ def _grid_has_definite(params: ModelParams, alpha: float, k: float, pt: tuple) -
     guess is a definite grid point; otherwise the enumeration decides.
     """
     Ch, Ih, Vh = pt
-    last = len(_WEIGHTS) - 1
-    A = _WEIGHTS[min(bisect_left(_WEIGHTS, Ch * k / Vh), last)]
-    B = _WEIGHTS[min(bisect_left(_WEIGHTS, Ih * k / Vh), last)]  # I^*k/V^ = sigma/m
+    # Searching [0, _LAST) caps the index at the last weight.
+    A = _WEIGHTS[bisect_left(_WEIGHTS, Ch * k / Vh, 0, _LAST)]
+    B = _WEIGHTS[bisect_left(_WEIGHTS, Ih * k / Vh, 0, _LAST)]  # I^*k/V^ = sigma/m
     d1, d2, d3 = _minors(*_omega_entries(params, alpha, k, A, B, 1.0, pt, pt))
     if d1 > 0.0 and d2 > 0.0 and d3 > 0.0:
         return True

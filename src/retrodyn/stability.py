@@ -100,8 +100,8 @@ def _equilibrium_verdict(params: ModelParams, alpha, k, C, I, V, det) -> Verdict
     # The verdict at the inner equilibrium (C, I, V) of params with
     # (alpha, k) in place of params.alpha and params.k, and det the
     # reduced system's: the four values _inner_point returns.
-    if det < 0:
+    if det < 0.0:
         return _UNSTABLE
     p, q, r = _reduced_cubic(params, alpha, k, C, I, V, det)
     h = p * q - r
-    return _STABLE if h > 0 else _UNSTABLE if h < 0 else _MARGINAL
+    return _STABLE if h > 0.0 else _UNSTABLE if h < 0.0 else _MARGINAL

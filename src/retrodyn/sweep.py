@@ -103,14 +103,10 @@ class SweepResult(_Record):
         comment carries the stable-rectangle corner when one exists."""
         lines = ["alpha,k,inner_exists,rh_verdict,sylvester_pd,cond4_as_written,cond4_corrected\n"]
         k_texts = ["%.17g," % k for k in self.grid.k_values]
-        texts = {}  # each distinct cell's text, by id: the cells are shared
         for alpha, row in zip(self.grid.alpha_values, self.cells):
             alpha_text = "%.17g," % alpha
             for k_text, cell in zip(k_texts, row):
-                text = texts.get(id(cell))
-                if text is None:
-                    text = texts[id(cell)] = _cell_text(cell)
-                lines.append(alpha_text + k_text + text)
+                lines.append(alpha_text + k_text + (_SHARED_TEXT.get(id(cell)) or _cell_text(cell)))
         if self.alpha0 is not None and self.k0 is not None:
             lines.append("# alpha0=%.17g,k0=%.17g\n" % (self.alpha0, self.k0))
         stream.write("".join(lines))
@@ -132,6 +128,10 @@ def _csv_bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
+# Each shared cell's text, by id: a map's cells are these 25.
+_SHARED_TEXT = {id(cell): _cell_text(cell) for cell in (_ABSENT, *_INNER.values())}
+
+
 def evaluate_cell(base: ModelParams, alpha: float, k: float) -> SweepCell:
     """Full diagnostic battery for a single (alpha, k) combination.
 
@@ -147,8 +147,8 @@ def evaluate_cell(base: ModelParams, alpha: float, k: float) -> SweepCell:
     pt = _inner_point(base, alpha, k)
     if pt is None:
         return _ABSENT
-    verdict = _equilibrium_verdict(base, alpha, k, *pt)
-    C, I, V, _ = pt
+    C, I, V, det = pt
+    verdict = _equilibrium_verdict(base, alpha, k, C, I, V, det)
     definite = verdict is not _UNSTABLE and _grid_has_definite(base, alpha, k, (C, I, V))
     lhs, rhs_as_written, rhs_corrected = _condition4_sides(base, alpha, C, I, V)
     return _INNER[verdict, definite, lhs > rhs_as_written, lhs > rhs_corrected]

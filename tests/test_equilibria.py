@@ -14,7 +14,7 @@ from retrodyn import (
     residual,
     vector_field,
 )
-from retrodyn.equilibria import _inner_point
+from retrodyn.equilibria import _inner_point, _over_product
 from retrodyn.model import PARAM_NAMES
 
 from conftest import decisions_near_thresholds, eq_point, sample_params
@@ -180,6 +180,25 @@ def test_underflowing_divisor():
     assert infected.kind is EquilibriumKind.INFECTED_ONLY
     assert infected.point.I == pytest.approx(9e199, rel=1e-15)
     assert residual(p, infected.point) < 1e-15
+
+
+def test_over_product():
+    # in range: the bits of the product's one division, which differ
+    # here from those of dividing one factor at a time
+    x, u, v, w = 0.3, 0.7, 1.1, 1.3
+    assert x / (u * v) != x / u / v and x / (u * v * w) != x / u / v / w
+    assert _over_product(x, u, v) == x / (u * v)
+    assert _over_product(x, u, v, w) == x / (u * v * w)
+    # the product underflows to 0: one factor at a time
+    tiny = 2.0**-600
+    assert tiny * tiny == 0.0
+    assert _over_product(2.0**-300, tiny, tiny) == 2.0**900
+    assert _over_product(2.0**-1000, tiny, tiny, 2.0) == 2.0**199
+    # exact on Fractions
+    fx, fu, fv, fw = map(Fraction, (x, u, v, w))
+    assert _over_product(fx, fu, fv) == fx / (fu * fv)
+    assert _over_product(fx, fu, fv, fw) == fx / (fu * fv * fw)
+    assert type(_over_product(fx, fu, fv, fw)) is Fraction
 
 
 def test_random_roundtrip_residuals():

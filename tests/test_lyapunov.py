@@ -392,6 +392,7 @@ def test_positive_run_hand_cases():
     assert _positive_run(-1.0, -1.0, -1.0) == range(0)
     assert _positive_run(-1.0, 1.0, -1.0) == range(0)  # no real root
     assert _positive_run(1.0, 1.0, -1.0) == range(41)  # convex: every point
+    assert _positive_run(1.0, -1.0, -1.0) == range(41)  # convex, even with c1 <= 0
 
 
 def test_grid_has_definite_matches_search(p1, p2, p_unstable, monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from retrodyn import (
     jacobian,
     vector_field,
 )
+from retrodyn.errors import _checked_float
 
 from conftest import fd_jacobian, sample_params, state_near
 
@@ -48,6 +51,21 @@ def test_params_reject_negative_or_nonfinite():
         ModelParams(**{**good, "sigma": "2"})
     with pytest.raises(ParameterError, match="'a'"):
         ModelParams(**{**good, "a": 10**400})  # too large for a float
+
+
+@pytest.mark.parametrize("bound", [">", ">=", "!="])
+def test_checked_float(bound):
+    x = 0.5
+    assert _checked_float("x", x, bound) is x
+    for value in (2, np.float64(0.5)):
+        out = _checked_float("x", value, bound)
+        assert type(out) is float and out == value
+    for bad in (True, math.nan, math.inf, -math.inf, 10**400, "1"):
+        with pytest.raises(ParameterError, match="'x' must be a finite real number"):
+            _checked_float("x", bad, bound)
+    if bound != ">=":
+        with pytest.raises(ParameterError, match=f"'x' must be {bound} 0, got 0.0"):
+            _checked_float("x", 0.0, bound)
 
 
 def test_params_replace_revalidates(p1):
